@@ -1,10 +1,18 @@
 GO ?= go
 
-.PHONY: check test build vet bench bench-iql obs-bench fuzz-smoke repl-chaos storage-matrix load-smoke
+.PHONY: check test build vet bench bench-check bench-iql obs-bench fuzz-smoke repl-chaos storage-matrix load-smoke
 
-# Full verification: vet + build + race-enabled tests.
+# Full verification: gofmt + vet + build + race-enabled tests + the
+# benchmark-module gate below.
 check:
 	sh scripts/check.sh
+
+# Vet and unit-test the nested benchmark module (bench/, its own go.mod)
+# against this checkout; `go build ./... && go test ./...` never
+# compiles it.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 build:
 	$(GO) build ./...

@@ -8,7 +8,8 @@
 //	BenchmarkTable4_QueryResults
 //	BenchmarkFigure6_QueryResponseTimes
 //
-// plus the ablation benches DESIGN.md calls out. Run with
+// plus the ablation benches DESIGN.md calls out and the QueryPage
+// benches of the daemon's page path. Run with
 //
 //	go test -bench=. -benchmem
 package idm_test
@@ -376,6 +377,84 @@ func BenchmarkAblation_QueryCache(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pageSink keeps the compiler from discarding the measured calls.
+var pageSink *idm.Page
+
+// benchPageSystem indexes the bench dataset into a fresh System.
+func benchPageSystem(b *testing.B, cfg idm.Config) *idm.System {
+	b.Helper()
+	d := idm.GenerateDataset(idm.DatasetConfig{Scale: benchScale, Seed: benchSeed})
+	sys, err := idm.OpenDataset(d, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Index(); err != nil {
+		b.Fatal(err)
+	}
+	return sys
+}
+
+// The QueryPage benches time what imemexd's /query handler calls, on
+// Q1 (~1064 rows at this scale) at the daemon's bench page size, for
+// iterating on the page path without the 18 s harness of bench/.
+const (
+	pageQuery = `"database"`
+	pageLimit = 100
+)
+
+// BenchmarkQueryPageMiss is a first page nobody asked for before:
+// evaluate, order, resolve 100 rows (the cache is off, so every
+// iteration misses).
+func BenchmarkQueryPageMiss(b *testing.B) {
+	sys := benchPageSystem(b, idm.Config{DisableQueryCache: true})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := sys.QueryPage(pageQuery, nil, pageLimit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pageSink = p
+	}
+}
+
+// BenchmarkQueryPageHit repeats one page of a cached result: no
+// evaluation, no ordering, no catalog lookups.
+func BenchmarkQueryPageHit(b *testing.B) {
+	sys := benchPageSystem(b, idm.Config{})
+	if _, err := sys.QueryPage(pageQuery, nil, pageLimit); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := sys.QueryPage(pageQuery, nil, pageLimit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pageSink = p
+	}
+}
+
+// BenchmarkQueryPageWalk is one whole cursor walk of the cached result,
+// first page to last.
+func BenchmarkQueryPageWalk(b *testing.B) {
+	sys := benchPageSystem(b, idm.Config{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var after []idm.OID
+		for {
+			p, err := sys.QueryPage(pageQuery, after, pageLimit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pageSink = p
+			if p.Next == nil {
+				break
+			}
+			after = p.Next
+		}
+	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

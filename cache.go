@@ -8,7 +8,8 @@ import (
 // queryCache memoizes query results keyed by query text, invalidated by
 // the dataspace version: any change the Synchronization Manager applies
 // bumps the version, so cached results are never stale. This is the
-// "warm cache" of the paper's Figure 6 made explicit.
+// "warm cache" of the paper's Figure 6 made explicit. What it holds is
+// the engine's answer, not a resolved one: see cachedResult (page.go).
 type queryCache struct {
 	// now supplies the cache's clock (latency and entry-age accounting);
 	// injectable for tests.
@@ -30,12 +31,8 @@ type queryCache struct {
 
 type cacheEntry struct {
 	version uint64
-	res     *Result
+	res     *cachedResult
 	added   time.Time
-	// sources names the sources whose views appear in res, so
-	// invalidateSource can drop exactly the entries a source
-	// unregistration affects.
-	sources map[string]bool
 }
 
 func newQueryCache(capacity int) *queryCache {
@@ -51,7 +48,7 @@ func newQueryCache(capacity int) *queryCache {
 
 // get returns the cached result for a query at the given dataspace
 // version.
-func (c *queryCache) get(query string, version uint64) (*Result, bool) {
+func (c *queryCache) get(query string, version uint64) (*cachedResult, bool) {
 	start := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -69,47 +66,30 @@ func (c *queryCache) get(query string, version uint64) (*Result, bool) {
 // to compute it — the price of the preceding miss. When the cache is
 // full it is cleared wholesale — queries repeat within sessions, so a
 // periodic cold start is cheaper than tracking recency.
-func (c *queryCache) put(query string, version uint64, res *Result, cost time.Duration) {
+func (c *queryCache) put(query string, version uint64, res *cachedResult, cost time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.entries) >= c.cap {
-		c.evictions += int64(len(c.entries))
-		c.entries = make(map[string]cacheEntry, c.cap)
+		c.clearLocked()
 	}
 	c.missNanos += int64(cost)
 	c.fills++
-	var srcs map[string]bool
-	for _, row := range res.Rows {
-		for _, item := range row {
-			if item.Source == "" {
-				continue
-			}
-			if srcs == nil {
-				srcs = make(map[string]bool)
-			}
-			srcs[item.Source] = true
-		}
-	}
-	c.entries[query] = cacheEntry{version: version, res: res, added: c.now(), sources: srcs}
+	c.entries[query] = cacheEntry{version: version, res: res, added: c.now()}
 }
 
-// invalidateSource drops every entry whose result contains rows from the
-// given source. Unregistering a source bumps the dataspace version (its
-// views are journaled as removals), which already guards correctness;
-// dropping the affected entries eagerly keeps the cache from carrying
-// dead results until the wholesale clear.
-func (c *queryCache) invalidateSource(id string) int {
+// clear drops every entry. Unregistering a source bumps the dataspace
+// version (its views are journaled as removals), which already makes
+// every entry unservable; clearing keeps the cache from carrying the
+// dead results until the next wholesale clear.
+func (c *queryCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped := 0
-	for q, e := range c.entries {
-		if e.sources[id] {
-			delete(c.entries, q)
-			dropped++
-		}
-	}
-	c.evictions += int64(dropped)
-	return dropped
+	c.clearLocked()
+}
+
+func (c *queryCache) clearLocked() {
+	c.evictions += int64(len(c.entries))
+	c.entries = make(map[string]cacheEntry, c.cap)
 }
 
 // CacheStats reports query-cache effectiveness.

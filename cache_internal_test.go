@@ -10,7 +10,7 @@ import (
 // dropped entry as an eviction.
 func TestQueryCacheWholesaleClear(t *testing.T) {
 	c := newQueryCache(4)
-	res := &Result{}
+	res := &cachedResult{}
 	for _, q := range []string{"a", "b", "c", "d"} {
 		c.put(q, 1, res, 0)
 	}
@@ -51,7 +51,7 @@ func TestQueryCacheLatencyAndAge(t *testing.T) {
 	clock := time.Unix(0, 0)
 	c := newQueryCache(8)
 	c.now = func() time.Time { return clock }
-	res := &Result{}
+	res := &cachedResult{}
 
 	// Two fills with known evaluation costs: mean miss latency 15ms.
 	c.put("a", 1, res, 10*time.Millisecond)
@@ -99,7 +99,7 @@ func TestQueryCacheLatencyAndAge(t *testing.T) {
 // leaks into the miss-cost average.
 func TestQueryCacheMissLatencyUnaffectedByHits(t *testing.T) {
 	c := newQueryCache(8)
-	res := &Result{}
+	res := &cachedResult{}
 	c.put("q", 1, res, 40*time.Millisecond)
 	for i := 0; i < 5; i++ {
 		if _, ok := c.get("q", 1); !ok {

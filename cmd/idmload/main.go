@@ -72,7 +72,7 @@ func main() {
 			defer wg.Done()
 			name := fmt.Sprintf("tenant%03d", i)
 			body := map[string]any{
-				"id":   "docs",
+				"id": "docs",
 				"files": map[string]string{
 					"/docs/a.txt": fmt.Sprintf("alpha document for marker%03d", i),
 					"/docs/b.txt": fmt.Sprintf("beta notes with marker%03d inside", i),

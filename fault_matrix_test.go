@@ -311,9 +311,10 @@ func TestDifferentialUnderFaults(t *testing.T) {
 	}
 }
 
-// TestRemoveSourceInvalidatesCache pins the unregister path: cached
-// results that drew rows from the removed source are dropped, unrelated
-// entries survive, and the source's views leave the indexes.
+// TestRemoveSourceInvalidatesCache pins the unregister path: the removal
+// bumps the dataspace version, so no cached result is servable any more
+// and the cache is emptied; the source's views leave the indexes; a
+// removal that fails leaves the cache alone.
 func TestRemoveSourceInvalidatesCache(t *testing.T) {
 	fsA := idm.NewFileSystem()
 	fsA.MkdirAll("/a")
@@ -345,11 +346,11 @@ func TestRemoveSourceInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sys.CacheStats()
-	if st.Size != 1 {
-		t.Fatalf("cache size after removal = %d, want 1 (b's entry dropped)", st.Size)
+	if st.Size != 0 {
+		t.Fatalf("cache size after removal = %d, want 0", st.Size)
 	}
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if st.Evictions != 2 {
+		t.Fatalf("evictions = %d, want 2", st.Evictions)
 	}
 	res, err := sys.Query(`"beta content"`)
 	if err != nil || res.Count() != 0 {
@@ -363,6 +364,9 @@ func TestRemoveSourceInvalidatesCache(t *testing.T) {
 	}
 	if err := sys.RemoveSource("b"); err == nil {
 		t.Fatal("double removal not rejected")
+	}
+	if st := sys.CacheStats(); st.Size != 2 {
+		t.Fatalf("cache size after rejected removal = %d, want 2", st.Size)
 	}
 }
 

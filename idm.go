@@ -347,6 +347,11 @@ type systemMetrics struct {
 	// staleQueries counts queries answered from stale replicas while a
 	// source was degraded.
 	staleQueries *obs.Counter
+	// itemsResolved counts row items resolved against the catalog and
+	// resultsOrdered the results put into key order; a page served from
+	// a cached entry's memo moves neither (see cachedResult).
+	itemsResolved  *obs.Counter
+	resultsOrdered *obs.Counter
 }
 
 func newSystemMetrics(reg *obs.Registry) systemMetrics {
@@ -356,6 +361,9 @@ func newSystemMetrics(reg *obs.Registry) systemMetrics {
 		cacheHits:    reg.Counter("idm_cache_hits_total"),
 		cacheMisses:  reg.Counter("idm_cache_misses_total"),
 		staleQueries: reg.Counter("idm_stale_queries_total"),
+
+		itemsResolved:  reg.Counter("idm_items_resolved_total"),
+		resultsOrdered: reg.Counter("idm_results_ordered_total"),
 	}
 }
 
@@ -553,13 +561,13 @@ func (s *System) AddSource(src Source) error { return s.mgr.AddSource(src) }
 
 // RemoveSource unregisters a source: its plugin is closed, every view it
 // contributed is removed from the catalog, indexes and replica (journaled
-// as removals), and cached query results that drew rows from it are
-// dropped.
+// as removals), and the query cache is emptied.
 func (s *System) RemoveSource(id string) error {
-	if s.cache != nil {
-		s.cache.invalidateSource(id)
+	err := s.mgr.RemoveSource(id)
+	if err == nil && s.cache != nil {
+		s.cache.clear()
 	}
-	return s.mgr.RemoveSource(id)
+	return err
 }
 
 // Health reports per-source degradation status: whether the last sync
@@ -591,9 +599,26 @@ func (s *System) Count() int { return s.mgr.Count() }
 
 // Query parses and evaluates an iQL query. Results are cached per
 // dataspace version (see Config.DisableQueryCache); treat them as
-// read-only.
+// read-only. Every row is resolved against the catalog; a caller that
+// shows a page at a time wants QueryPage.
 func (s *System) Query(q string) (*Result, error) {
 	start := time.Now()
+	c, hit, err := s.cachedQuery(q, start)
+	if err != nil {
+		return nil, err
+	}
+	// The resolved Result is shared; hand out a shallow copy whose Stats
+	// carry this call's hit flag and latency.
+	res := *c.result(s)
+	res.Stats.CacheHit = hit
+	s.finishQuery(q, c, hit, start, &res.Stats)
+	return &res, nil
+}
+
+// cachedQuery returns the result answering q: the cache's entry while
+// the dataspace version it was evaluated at still stands, otherwise a
+// fresh evaluation (cached for the next caller).
+func (s *System) cachedQuery(q string, start time.Time) (c *cachedResult, hit bool, err error) {
 	s.met.queries.Inc()
 	// Degraded sources: FailClosed rejects outright; ServeStale bypasses
 	// the cache so every result honestly carries its Stale flag (a failed
@@ -601,64 +626,58 @@ func (s *System) Query(q string) (*Result, error) {
 	// but unflagged).
 	stale := s.mgr.DegradedSources()
 	if len(stale) > 0 && s.degraded == FailClosed {
-		return nil, fmt.Errorf("%w: %s", ErrDegraded, strings.Join(stale, ", "))
+		return nil, false, fmt.Errorf("%w: %s", ErrDegraded, strings.Join(stale, ", "))
 	}
 	useCache := s.cache != nil && len(stale) == 0
 	var version uint64
 	if useCache {
 		version = s.mgr.Version()
-		if res, ok := s.cache.get(q, version); ok {
+		if c, ok := s.cache.get(q, version); ok {
 			s.met.cacheHits.Inc()
-			s.met.queryNs.ObserveSince(start)
-			// The cached Result is shared; hand out a shallow copy whose
-			// Stats carry the hit flag and the hit-path latency. The
-			// engine never sees cache hits, so the facade logs them.
-			elapsed := time.Since(start)
-			hit := *res
-			hit.Stats.CacheHit = true
-			hit.Stats.ElapsedNs = int64(elapsed)
-			s.recordCacheHit(q, &hit, elapsed)
-			return &hit, nil
+			return c, true, nil
 		}
 		s.met.cacheMisses.Inc()
 	}
 	r, err := s.engine.Query(q)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	res := s.buildResult(r)
-	res.Stats.ElapsedNs = int64(time.Since(start))
+	c = s.newCachedResult(r)
 	if useCache {
 		// The elapsed time is what this miss cost; the cache reports it
 		// as MissLatency against the hit path's HitLatency.
-		s.cache.put(q, version, res, time.Since(start))
+		s.cache.put(q, version, c, time.Since(start))
 	}
-	s.met.queryNs.ObserveSince(start)
-	return res, nil
+	return c, false, nil
 }
 
-// recordCacheHit logs a cache-served query. The record keeps the cached
-// result's resource stats — what the result originally cost to compute —
-// with CacheHit marking that this serving paid none of it.
-func (s *System) recordCacheHit(q string, res *Result, elapsed time.Duration) {
-	if s.qlog == nil {
+// finishQuery closes a Query or QueryPage call: it stamps the call's
+// latency into stats, observes it, and logs a cache-served call — the
+// engine never sees those, so the facade does. The record keeps the
+// cached result's resource stats — what the result originally cost to
+// compute — with CacheHit marking that this serving paid none of it.
+func (s *System) finishQuery(q string, c *cachedResult, hit bool, start time.Time, stats *QueryStats) {
+	elapsed := time.Since(start)
+	stats.ElapsedNs = int64(elapsed)
+	s.met.queryNs.Observe(int64(elapsed))
+	if !hit || s.qlog == nil {
 		return
 	}
 	s.qlog.Record(obs.QueryRecord{
 		Query:      q,
 		DurationNs: int64(elapsed),
-		Rows:       int64(len(res.Rows)),
+		Rows:       int64(len(c.r.Rows)),
 		CacheHit:   true,
-		Stale:      res.Stale,
-		Strategy:   res.Stats.Strategy,
+		Stale:      c.stale(),
+		Strategy:   stats.Strategy,
 		Stats: obs.QueryStatsRecord{
-			RowsScanned:     res.Stats.RowsScanned,
-			PostingsRead:    res.Stats.PostingsRead,
-			ResidualFilters: res.Stats.ResidualFilters,
-			ViewsExpanded:   res.Stats.ViewsExpanded,
-			PeakFrontier:    res.Stats.PeakFrontier,
-			IndexAccesses:   res.Stats.IndexAccesses,
-			EstimatedRows:   res.Stats.EstimatedRows,
+			RowsScanned:     stats.RowsScanned,
+			PostingsRead:    stats.PostingsRead,
+			ResidualFilters: stats.ResidualFilters,
+			ViewsExpanded:   stats.ViewsExpanded,
+			PeakFrontier:    stats.PeakFrontier,
+			IndexAccesses:   stats.IndexAccesses,
+			EstimatedRows:   stats.EstimatedRows,
 		},
 	})
 }
@@ -695,7 +714,7 @@ func (s *System) Trace(q string) (*Result, *obs.Trace, error) {
 	if err != nil {
 		return nil, tr, err
 	}
-	return s.buildResult(r), tr, nil
+	return s.newCachedResult(r).result(s), tr, nil
 }
 
 // Explain evaluates the query with tracing and returns the rendered
@@ -728,7 +747,7 @@ func (s *System) QueryWith(q string, exp Expansion) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.buildResult(r), nil
+	return s.newCachedResult(r).result(s), nil
 }
 
 // Delete executes an iQL delete statement (`delete <query>`): views
@@ -802,7 +821,7 @@ func (s *System) QueryRanked(q string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := s.buildResult(r)
+	out := s.newCachedResult(r).result(s)
 	out.Scores = r.Scores
 	return out, nil
 }
@@ -849,89 +868,14 @@ type Result struct {
 // Count returns the number of result rows.
 func (r *Result) Count() int { return len(r.Rows) }
 
-func (s *System) buildResult(r *iql.Result) *Result {
-	out := &Result{
-		Columns:       r.Columns,
-		Plan:          r.Plan.String(),
-		Intermediates: int(r.Plan.Intermediates),
-		Stale:         len(r.Plan.StaleSources) > 0,
-		StaleSources:  r.Plan.StaleSources,
-		Stats:         r.Stats,
-	}
-	if out.Stale {
-		s.met.staleQueries.Inc()
-	}
-	// Ancestors repeat heavily across the rows of one result; memoize
-	// path fragments while resolving it.
-	paths := make(map[OID]string)
-	for _, row := range r.Rows {
-		resolved := make(Row, len(row))
-		for i, oid := range row {
-			resolved[i] = s.itemMemo(oid, paths)
-		}
-		out.Rows = append(out.Rows, resolved)
-	}
-	for _, oid := range r.OIDs() {
-		out.Items = append(out.Items, s.itemMemo(oid, paths))
-	}
-	return out
-}
-
 func (s *System) item(oid OID) Item {
-	return s.itemMemo(oid, nil)
-}
-
-func (s *System) itemMemo(oid OID, paths map[OID]string) Item {
-	e, err := s.mgr.Entry(oid)
-	if err != nil {
-		return Item{OID: oid, Name: "<unknown>"}
-	}
-	return Item{
-		OID:    oid,
-		Name:   e.Name,
-		Class:  e.Class,
-		Source: e.Source,
-		URI:    e.URI,
-		Path:   s.pathMemo(oid, paths),
-	}
+	return (&resolver{s: s}).item(oid)
 }
 
 // Path renders the name chain from the source root to the view,
 // following catalog Parent links.
-func (s *System) Path(oid OID) string { return s.pathMemo(oid, nil) }
-
-func (s *System) pathMemo(oid OID, memo map[OID]string) string {
-	// The depth bound guards against malformed parent cycles.
-	return s.pathBounded(oid, memo, 128)
-}
-
-func (s *System) pathBounded(oid OID, memo map[OID]string, depth int) string {
-	if depth <= 0 {
-		return "/..."
-	}
-	if memo != nil {
-		if p, ok := memo[oid]; ok {
-			return p
-		}
-	}
-	e, err := s.mgr.Entry(oid)
-	if err != nil {
-		return "/<unknown>"
-	}
-	name := e.Name
-	if name == "" {
-		name = "(" + e.Class + ")"
-	}
-	var path string
-	if e.Parent == 0 {
-		path = "/" + name
-	} else {
-		path = s.pathBounded(e.Parent, memo, depth-1) + "/" + name
-	}
-	if memo != nil {
-		memo[oid] = path
-	}
-	return path
+func (s *System) Path(oid OID) string {
+	return (&resolver{s: s}).path(oid, maxPathDepth)
 }
 
 // View returns the live resource view under oid.

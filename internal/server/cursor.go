@@ -1,16 +1,17 @@
-// Cursor-based pagination for imemexd query results.
+// Cursors for imemexd query results.
 //
-// A cursor is an opaque, resumable position in a query's result set.
-// Result rows are ordered by their OID key — the tuple of catalog OIDs
-// in the row, compared lexicographically — which is stable across
-// query re-evaluation, dataspace mutation and tenant eviction: OIDs
-// are assigned once and never reused for a live view, so a row's key
-// never changes and rows only ever sort into one place. Resuming a
-// cursor re-evaluates the query (cheap against the replica, and served
-// by the version-keyed cache when nothing changed) and returns the
-// rows strictly after the cursor's key: a client walking pages sees
-// every row at most once and in strictly increasing key order, even
-// while rows are added or removed underneath it.
+// A cursor is an opaque, resumable position in a query's result set:
+// the key of the last row the previous page returned. What a key is and
+// how rows are ordered by it is the facade's decision alone
+// (idm.System.QueryPage); this file only carries the key across the
+// network and back. Because a row's key never changes — OIDs are
+// assigned once and never reused for a live view — a cursor stays valid
+// across dataspace mutation, tenant eviction and daemon restart: a
+// client walking pages sees every row at most once and in strictly
+// increasing key order, even while rows are added or removed underneath
+// it. Resuming costs a lookup, not a query: while the dataspace version
+// stands the facade answers every page of a walk from one cached
+// result, ordered once, resolving only the rows the page returns.
 package server
 
 import (
@@ -18,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	idm "repro"
 )
@@ -31,8 +31,8 @@ type pageCursor struct {
 	V int `json:"v"`
 	// Q is the FNV-64a hash of the query text the cursor belongs to.
 	Q string `json:"q"`
-	// Last is the OID key of the last row the previous page returned.
-	Last []uint64 `json:"last"`
+	// Last is the key of the last row the previous page returned.
+	Last []idm.OID `json:"last"`
 }
 
 // cursorVersion is the only format this build mints and accepts.
@@ -50,7 +50,7 @@ func queryHash(q string) string {
 }
 
 // encodeCursor mints the opaque wire form.
-func encodeCursor(qhash string, last []uint64) string {
+func encodeCursor(qhash string, last []idm.OID) string {
 	b, _ := json.Marshal(pageCursor{V: cursorVersion, Q: qhash, Last: last})
 	return base64.RawURLEncoding.EncodeToString(b)
 }
@@ -79,66 +79,4 @@ func decodeCursor(s string) (pageCursor, error) {
 		return c, fmt.Errorf("cursor key arity %d out of range", len(c.Last))
 	}
 	return c, nil
-}
-
-// rowKey is one row's sort key: its OIDs in column order.
-func rowKey(row idm.Row) []uint64 {
-	k := make([]uint64, len(row))
-	for i, item := range row {
-		k[i] = uint64(item.OID)
-	}
-	return k
-}
-
-// compareKeys orders OID keys lexicographically; shorter keys sort
-// before longer ones sharing a prefix.
-func compareKeys(a, b []uint64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
-// paginate orders res.Rows by OID key, skips past the cursor (nil
-// means "from the start"), and returns up to limit rows plus the next
-// cursor ("" when the page reaches the end). total is the full result
-// cardinality at this evaluation.
-func paginate(res *idm.Result, qhash string, cur *pageCursor, limit int) (rows []idm.Row, next string, total int) {
-	sorted := make([]idm.Row, len(res.Rows))
-	copy(sorted, res.Rows)
-	sort.Slice(sorted, func(i, j int) bool {
-		return compareKeys(rowKey(sorted[i]), rowKey(sorted[j])) < 0
-	})
-	total = len(sorted)
-	start := 0
-	if cur != nil {
-		// First row strictly after the cursor key.
-		start = sort.Search(len(sorted), func(i int) bool {
-			return compareKeys(rowKey(sorted[i]), cur.Last) > 0
-		})
-	}
-	end := start + limit
-	if end > len(sorted) {
-		end = len(sorted)
-	}
-	rows = sorted[start:end]
-	if end < len(sorted) && len(rows) > 0 {
-		next = encodeCursor(qhash, rowKey(rows[len(rows)-1]))
-	}
-	return rows, next, total
 }

@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"net/http/httptest"
+	"slices"
 	"testing"
+
+	idm "repro"
 )
 
 // FuzzServerRequest beats on the daemon's request-decoding surface:
@@ -12,7 +15,7 @@ import (
 // panic, never accept a cursor that fails to round-trip.
 func FuzzServerRequest(f *testing.F) {
 	f.Add([]byte(`{"q":"\"alpha\"","limit":3}`))
-	f.Add([]byte(`{"q":"//docs//*","cursor":"` + encodeCursor(queryHash(`//docs//*`), []uint64{42}) + `"}`))
+	f.Add([]byte(`{"q":"//docs//*","cursor":"` + encodeCursor(queryHash(`//docs//*`), []idm.OID{42}) + `"}`))
 	f.Add([]byte(`{"q":"x","cursor":"!!not base64!!"}`))
 	f.Add([]byte(`{"id":"docs","files":{"/a.txt":"hello"},"sync":true}`))
 	f.Add([]byte(`{"type":"dataset","scale":0.01,"seed":7}`))
@@ -54,7 +57,7 @@ func checkCursor(t *testing.T, s string) {
 	if err != nil {
 		t.Fatalf("re-encoded cursor does not decode: %v", err)
 	}
-	if c2.Q != c.Q || compareKeys(c2.Last, c.Last) != 0 {
+	if c2.Q != c.Q || !slices.Equal(c2.Last, c.Last) {
 		t.Fatalf("cursor round trip changed: %+v != %+v", c2, c)
 	}
 }

@@ -6,7 +6,8 @@
 // per-tenant bearer token, are admission-controlled by a global
 // in-flight cap and per-tenant query slots (saturation answers 429
 // with Retry-After, never queues unboundedly), and large results page
-// through opaque resumable cursors over stable OID order (cursor.go).
+// through opaque resumable cursors over the facade's stable key order
+// (cursor.go).
 // The obs debug surface (/debug/metrics, /debug/metrics/prom,
 // /debug/pprof) is mounted over the server's own registry, which
 // carries the srv_* series. See docs/SERVER.md.
@@ -352,7 +353,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *entry) {
 		return
 	}
 	qhash := queryHash(req.Q)
-	var cur *pageCursor
+	var after []idm.OID
 	if req.Cursor != "" {
 		c, err := decodeCursor(req.Cursor)
 		if err != nil {
@@ -363,7 +364,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *entry) {
 			writeErr(w, http.StatusBadRequest, "cursor belongs to a different query")
 			return
 		}
-		cur = &c
+		after = c.Last
 	}
 	limit := req.Limit
 	if limit <= 0 || limit > s.cfg.Quota.MaxResultRows {
@@ -371,22 +372,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *entry) {
 	}
 
 	start := time.Now()
-	res, err := e.sys.Query(req.Q)
+	page, err := e.sys.QueryPage(req.Q, after, limit)
 	s.met.queries.Inc()
 	s.met.queryNs.ObserveSince(start)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	rows, next, total := paginate(res, qhash, cur, limit)
 	resp := queryResponse{
-		Columns:    res.Columns,
-		Rows:       make([][]itemJSON, 0, len(rows)),
-		Total:      total,
-		NextCursor: next,
-		Stale:      res.Stale,
+		Columns: page.Columns,
+		Rows:    make([][]itemJSON, 0, len(page.Rows)),
+		Total:   page.Total,
+		Stale:   page.Stale,
 	}
-	for _, row := range rows {
+	if page.Next != nil {
+		resp.NextCursor = encodeCursor(qhash, page.Next)
+	}
+	for _, row := range page.Rows {
 		jr := make([]itemJSON, len(row))
 		for i, item := range row {
 			jr[i] = itemJSON{

@@ -1,13 +1,28 @@
 #!/bin/sh
-# Full verification: vet, build, race-enabled tests. CI and pre-commit
-# both run this; `make check` is an alias.
+# Full verification: gofmt, vet, build, race-enabled tests, and the
+# nested benchmark module against this checkout. CI and pre-commit both
+# run this; `make check` is an alias.
 set -eu
 cd "$(dirname "$0")/.."
 
+echo '>> gofmt -l .'
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 echo '>> go vet ./...'
 go vet ./...
 echo '>> go build ./...'
 go build ./...
+# Benchmark-module gate: bench/ is its own module (`replace repro =>
+# ../`) importing the facade and internal/server, so ./... never
+# compiles it; an API change must not leave it broken (`make
+# bench-check` runs just this gate).
+echo '>> go -C bench vet ./... && go -C bench test ./... (benchmark-module gate)'
+go -C bench vet ./...
+go -C bench test ./...
 # Observability gate: the obs package and the root metrics/tracing
 # integration tests (concurrent queries against a scraped registry)
 # run first for fast, attributable failure; the full suite below
