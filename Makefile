@@ -2,8 +2,10 @@ GO ?= go
 
 .PHONY: check test build vet bench bench-check bench-iql obs-bench fuzz-smoke repl-chaos storage-matrix load-smoke
 
-# Full verification: gofmt + vet + build + race-enabled tests + the
-# benchmark-module gate below.
+# Full verification: gofmt + vet + build + the benchmark-module gate
+# below + the whole suite once under -race. The subset targets further
+# down (storage-matrix, repl-chaos, load-smoke, fuzz-smoke) re-run one
+# area by hand.
 check:
 	sh scripts/check.sh
 
@@ -42,8 +44,8 @@ fuzz-smoke:
 
 # Quick multi-tenant soak: the imemexd load harness at a smoke scale
 # (20 tenants × 5 clients, several iterations) under the race detector.
-# The full gate (200 tenants, the flag defaults) runs in `make check`
-# via the server gate; see docs/SERVER.md.
+# The full scale (200 tenants, the flag defaults) runs in `make check`
+# as part of its one `go test -race ./...`; see docs/SERVER.md.
 load-smoke:
 	$(GO) test -race ./internal/server -run 'TestLoadConcurrentTenants' -v \
 		-args -load-tenants=20 -load-clients=5 -load-iters=4

@@ -897,8 +897,9 @@ func BenchObsOverhead(s *Setup, runs, reps int) (*ObsOverhead, error) {
 
 // IndexBuild is the index_build section of BENCH_iql.json (schema v5):
 // the time to rebuild the Replica & Indexes module from a recovered
-// durable state, with the per-view incremental insertion path and with
-// the sort-based bulk build OpenDurable actually uses on a cold start.
+// durable state, by per-record incremental insertion (what a follower
+// replaying the same records does) and by the sort-based bulk build
+// OpenDurable uses on a cold start.
 type IndexBuild struct {
 	Scale float64 `json:"scale"`
 	Views int     `json:"views"`
@@ -913,8 +914,10 @@ type IndexBuild struct {
 
 // BenchIndexBuild generates and indexes a dataset at the given scale
 // through a WAL-backed manager, clones the durable state — exactly what
-// recovery hands OpenDurable — and times RestoreFromState over it with
-// the bulk path forced off and on.
+// recovery hands OpenDurable — and times rebuilding a manager from it
+// both ways: RestoreFromState (bulk), and the state's records fed one
+// ApplyRecord at a time into the live indexes (incremental). Both lanes
+// start from a catalog rebuilt outside the timed region.
 func BenchIndexBuild(scale float64, seed int64, reps int) (*IndexBuild, error) {
 	if reps <= 0 {
 		reps = 3
@@ -939,33 +942,41 @@ func BenchIndexBuild(scale float64, seed int64, reps int) (*IndexBuild, error) {
 		return nil, err
 	}
 	state, _ := eng.CloneState()
+	recs := state.Records()
 
 	out := &IndexBuild{Scale: scale, Views: len(state.Views), Reps: reps}
-	restore := func(noBulk bool) (int64, error) {
-		ropts := rvm.DefaultOptions()
-		ropts.NoBulkRestore = noBulk
-		m := rvm.NewWithCatalog(ropts, catalog.Rebuild(state.NextOID, state.Entries()))
+	rebuild := func(incremental bool) (int64, error) {
+		m := rvm.NewWithCatalog(rvm.DefaultOptions(), catalog.Rebuild(state.NextOID, state.Entries()))
 		runtime.GC()
 		start := time.Now()
-		m.RestoreFromState(state)
+		if incremental {
+			for _, rec := range recs {
+				if err := m.ApplyRecord(rec); err != nil {
+					return 0, err
+				}
+			}
+		} else {
+			m.RestoreFromState(state)
+		}
 		ns := time.Since(start).Nanoseconds()
 		if m.Count() != out.Views {
-			return 0, fmt.Errorf("restore produced %d views, want %d", m.Count(), out.Views)
+			return 0, fmt.Errorf("rebuild produced %d views, want %d", m.Count(), out.Views)
 		}
 		return ns, nil
 	}
-	// Interleave the two paths and keep each one's fastest repetition.
+	// Interleave the two lanes and keep each one's fastest repetition.
 	for rep := 0; rep < reps; rep++ {
-		for _, noBulk := range []bool{rep%2 == 0, rep%2 != 0} {
-			ns, err := restore(noBulk)
+		for _, incremental := range []bool{rep%2 == 0, rep%2 != 0} {
+			ns, err := rebuild(incremental)
 			if err != nil {
 				return nil, err
 			}
-			switch {
-			case noBulk && (out.IncrementalNs == 0 || ns < out.IncrementalNs):
-				out.IncrementalNs = ns
-			case !noBulk && (out.BulkNs == 0 || ns < out.BulkNs):
-				out.BulkNs = ns
+			best := &out.BulkNs
+			if incremental {
+				best = &out.IncrementalNs
+			}
+			if *best == 0 || ns < *best {
+				*best = ns
 			}
 		}
 	}

@@ -93,6 +93,23 @@ func (h *history) record(r ChangeRecord) {
 	h.journal = append(h.journal, r)
 }
 
+// journalUpsert journals an applied upsert as an addition (the OID was
+// unknown) or an update (a cataloged property of prev changed) and
+// reports whether it was either. An unchanged re-registration is not
+// journaled, so a no-op re-sync leaves the dataspace version alone.
+func (m *Manager) journalUpsert(prev catalog.Entry, known bool, e catalog.Entry) bool {
+	kind := ChangeAdded
+	if known {
+		if prev.Name == e.Name && prev.Class == e.Class &&
+			prev.ContentSize == e.ContentSize && prev.Stamp == e.Stamp {
+			return false
+		}
+		kind = ChangeUpdated
+	}
+	m.history.record(ChangeRecord{Kind: kind, OID: e.OID, Source: e.Source, URI: e.URI, Name: e.Name})
+	return true
+}
+
 // Version returns the current dataspace version: the number of changes
 // applied since the manager was created.
 func (m *Manager) Version() uint64 {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sources"
 	"repro/internal/storage"
+	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/textindex"
 	"repro/internal/tupleindex"
@@ -63,11 +64,6 @@ type Options struct {
 	// source's persisted segments. Any storage.Engine backend works;
 	// nil keeps the dataspace in-memory only. See docs/PERSISTENCE.md.
 	Store storage.Engine
-	// NoBulkRestore disables the sort-based bulk index build during
-	// RestoreFromState, forcing the incremental per-view insert path
-	// (the bulk-vs-incremental differential tests and the cold-start
-	// benchmark flip this).
-	NoBulkRestore bool
 }
 
 func (o Options) withDefaults() Options {
@@ -137,24 +133,9 @@ type Manager struct {
 	// failed is degraded and its replicated views are served stale.
 	health map[string]*SourceHealth
 
-	// Replica & Indexes module.
-	nameIdx *textindex.Index // name index (full text over η)
-	nameRep map[catalog.OID]string
-	// byLowerName is the exact-match lane of the name replica; lowered
-	// full names map to their members.
-	byLowerName map[string]map[catalog.OID]struct{}
-	nameLower   map[catalog.OID]string
-	tupleIdx    *tupleindex.Index // tuple index & replica (DSM columns)
-	contentIdx  *textindex.Index  // content index (not a replica)
-	imageIdx    *imageindex.Index // similarity index over binary content
-	groupRep    map[catalog.OID][]catalog.OID
-	parentRep   map[catalog.OID][]catalog.OID
-	classRep    map[string]map[catalog.OID]struct{} // class name → members
-	classOf     map[catalog.OID]string
-	views       map[catalog.OID]core.ResourceView
-	// contentBytes records per-source net input (bytes actually fed to
-	// the content index) for the Table 3 reproduction.
-	contentBytes map[string]int64
+	// replicas is the Replica & Indexes module; apply.go is its only
+	// writer.
+	replicas
 
 	// est memoizes per-root descendant counts and per-class member
 	// counts for planner estimates (stats.go); invalidated by dataspace
@@ -173,15 +154,45 @@ func NewWithCatalog(opts Options, cat *catalog.Catalog) *Manager {
 	broker := stream.NewBroker()
 	broker.SetMetrics(opts.Metrics)
 	return &Manager{
-		opts:         opts.withDefaults(),
-		registry:     core.StandardRegistry(),
-		catalog:      cat,
-		broker:       broker,
-		history:      newHistory(),
-		met:          newManagerMetrics(opts.Metrics),
-		sources:      make(map[string]sources.Source),
-		dirty:        make(map[string]bool),
-		health:       make(map[string]*SourceHealth),
+		opts:     opts.withDefaults(),
+		registry: core.StandardRegistry(),
+		catalog:  cat,
+		broker:   broker,
+		history:  newHistory(),
+		met:      newManagerMetrics(opts.Metrics),
+		sources:  make(map[string]sources.Source),
+		dirty:    make(map[string]bool),
+		health:   make(map[string]*SourceHealth),
+		replicas: newReplicas(),
+	}
+}
+
+// replicas is the state of the Replica & Indexes module.
+type replicas struct {
+	nameIdx *textindex.Index // name index (full text over η)
+	nameRep map[catalog.OID]string
+	// byLowerName is the exact-match lane of the name replica; lowered
+	// full names map to their members.
+	byLowerName map[string]map[catalog.OID]struct{}
+	nameLower   map[catalog.OID]string
+	tupleIdx    *tupleindex.Index // tuple index & replica (DSM columns)
+	contentIdx  *textindex.Index  // content index (not a replica)
+	imageIdx    *imageindex.Index // similarity index over binary content
+	groupRep    map[catalog.OID][]catalog.OID
+	parentRep   map[catalog.OID][]catalog.OID
+	classRep    map[string]map[catalog.OID]struct{} // class name → members
+	classOf     map[catalog.OID]string
+	views       map[catalog.OID]core.ResourceView
+	// contentBytes records per-source net input (bytes actually fed to
+	// the content index) for the Table 3 reproduction; textLen is each
+	// view's share of it, so a re-applied or removed view replaces or
+	// returns its contribution.
+	contentBytes map[string]int64
+	textLen      map[catalog.OID]int64
+}
+
+func newReplicas() replicas {
+	return replicas{
 		nameIdx:      textindex.New(),
 		nameRep:      make(map[catalog.OID]string),
 		byLowerName:  make(map[string]map[catalog.OID]struct{}),
@@ -195,6 +206,7 @@ func NewWithCatalog(opts Options, cat *catalog.Catalog) *Manager {
 		classOf:      make(map[catalog.OID]string),
 		views:        make(map[catalog.OID]core.ResourceView),
 		contentBytes: make(map[string]int64),
+		textLen:      make(map[catalog.OID]int64),
 	}
 }
 
@@ -256,12 +268,13 @@ func (m *Manager) AddSource(src sources.Source) error {
 }
 
 // RemoveSource deregisters a data source plugin: the plugin is closed,
-// every view cataloged for it is removed from the catalog, indexes and
-// replicas (each removal is journaled, so the dataspace version bumps
-// and version-keyed caches invalidate), and its health state is dropped.
-// With a durability layer configured, the source's persisted WAL
-// segments are dropped too — a drop record in the meta segment ensures
-// the views never resurrect on restart, even from an older snapshot.
+// a drop-source record removes every view cataloged for it from the
+// catalog, indexes and replicas (each removal is journaled, so the
+// dataspace version bumps and version-keyed caches invalidate), and its
+// health state is dropped. With a durability layer configured,
+// Store.DropSource logs that record (and deletes the source's persisted
+// segments) first, so the views never resurrect on restart, even from
+// an older snapshot.
 func (m *Manager) RemoveSource(id string) error {
 	m.mu.Lock()
 	src, ok := m.sources[id]
@@ -282,12 +295,9 @@ func (m *Manager) RemoveSource(id string) error {
 			return fmt.Errorf("rvm: dropping WAL segments of %q: %w", id, err)
 		}
 	}
-	removed := 0
-	for _, oid := range m.catalog.SourceOIDs(id) {
-		if err := m.remove(oid); err != nil {
-			return err
-		}
-		removed++
+	removed := len(m.catalog.SourceOIDs(id))
+	if err := m.apply(m.live(), store.Record{Kind: store.KindDropSource, Source: id}); err != nil {
+		return err
 	}
 	m.met.syncRemoved.Add(int64(removed))
 	m.met.views.Set(int64(m.catalog.Count()))

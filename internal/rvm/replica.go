@@ -1,151 +1,50 @@
 package rvm
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/catalog"
-	"repro/internal/core"
-	"repro/internal/imageindex"
 	"repro/internal/store"
-	"repro/internal/textindex"
-	"repro/internal/tupleindex"
 )
 
 // This file is the follower half of WAL-shipping replication
 // (internal/repl, docs/REPLICATION.md): a read-only manager applies the
-// leader's WAL records — in global-LSN order — into its own catalog,
-// indexes and replicas, reproducing exactly the structures the leader's
-// sync walks built. Follower managers run without sources and without a
-// store of their own (Options.Store nil keeps the log* helpers no-ops),
-// so the only writer is the replication apply loop.
+// leader's WAL records — in global-LSN order — through apply, the same
+// function the leader's sync walks applied them with, so a caught-up
+// follower holds exactly the leader's structures. Follower managers run
+// without sources and without a store of their own, so the only writer
+// is the replication apply loop.
 
-// ApplyRecord applies one shipped WAL record. It is idempotent: every
-// index insert replaces the previous posting for the OID, edge commits
-// are full replacements, and removals of absent views are no-ops — so
-// re-applying an overlapping batch after a crash converges to the same
-// state. It mirrors the leader's register/commitReplica/remove paths,
-// which keeps leader and caught-up follower query-equivalent.
+// ApplyRecord applies one shipped WAL record. Re-applying an
+// overlapping batch after a crash converges to the same state (apply is
+// idempotent). What is follower-only lives here, around the shared
+// apply: the catalog entry is written under the leader-assigned OID,
+// upserts are journaled with the leader's add/update distinction so the
+// follower's change feed and version-keyed caches behave like the
+// leader's (a byte-identical re-apply is not journaled), and records
+// that carry no per-view journal entry still bump the version.
 //
-// ApplyRecord is safe under concurrent readers (queries) — it takes the
-// same locks the sync paths do. It is NOT safe concurrent with
-// ResetFromState; the repl layer serializes the two.
+// ApplyRecord is safe under concurrent readers (queries). It is NOT
+// safe concurrent with ResetFromState; the repl layer serializes the
+// two.
 func (m *Manager) ApplyRecord(rec store.Record) error {
+	var prev catalog.Entry
+	known := false
+	if rec.Kind == store.KindUpsert && rec.View != nil {
+		var err error
+		prev, err = m.catalog.Get(rec.View.Entry.OID)
+		known = err == nil
+		m.catalog.Put(rec.View.Entry)
+	}
+	if err := m.apply(m.live(), rec); err != nil {
+		return err
+	}
 	switch rec.Kind {
 	case store.KindUpsert:
-		if rec.View == nil {
-			return fmt.Errorf("rvm: apply: upsert without view")
-		}
-		m.applyUpsert(rec.View)
-	case store.KindRemove:
-		// remove journals the change (bumping the version) and is a no-op
-		// for unknown OIDs; with no store configured nothing is re-logged.
-		return m.remove(rec.OID)
-	case store.KindEdges:
-		m.applyEdges(rec)
+		m.journalUpsert(prev, known, rec.View.Entry)
+	case store.KindEdges, store.KindDropSource, store.KindMeta:
 		m.history.bump()
-	case store.KindDropSource:
-		for _, oid := range m.catalog.SourceOIDs(rec.Source) {
-			if err := m.remove(oid); err != nil {
-				return err
-			}
-		}
-		m.history.bump()
-	case store.KindMeta:
-		m.catalog.PinNext(rec.NextOID)
-		m.history.bump()
-	case store.KindSnapshotEnd:
-		// End markers appear only inside snapshot images, never in
-		// shipped WAL batches; tolerate them as no-ops.
-	default:
-		return fmt.Errorf("rvm: apply: unknown record kind %v", rec.Kind)
 	}
 	m.met.views.Set(int64(m.catalog.Count()))
 	return nil
-}
-
-// applyUpsert registers one leader view under its leader-assigned OID,
-// mirroring syncWalk.register's indexing block (adds replace previous
-// postings; name/class bookkeeping cleans up old values).
-func (m *Manager) applyUpsert(v *store.ViewRecord) {
-	e := v.Entry
-	oid := e.OID
-	prev, prevErr := m.catalog.Get(oid)
-	m.catalog.Put(e)
-
-	m.nameIdx.Add(textindex.DocID(oid), e.Name)
-	if !v.Tuple.IsEmpty() {
-		m.tupleIdx.Add(tupleindex.DocID(oid), v.Tuple)
-	}
-	if v.Text != "" {
-		m.contentIdx.Add(textindex.DocID(oid), v.Text)
-	}
-	if len(v.Binary) > 0 && m.opts.IndexImages {
-		m.imageIdx.Add(imageindex.DocID(oid), v.Binary)
-	}
-
-	m.mu.Lock()
-	lowered := strings.ToLower(e.Name)
-	if old, ok := m.nameLower[oid]; ok && old != lowered {
-		delete(m.byLowerName[old], oid)
-	}
-	m.nameRep[oid] = e.Name
-	m.nameLower[oid] = lowered
-	exact := m.byLowerName[lowered]
-	if exact == nil {
-		exact = make(map[catalog.OID]struct{})
-		m.byLowerName[lowered] = exact
-	}
-	exact[oid] = struct{}{}
-	if old, ok := m.classOf[oid]; ok && old != e.Class {
-		delete(m.classRep[old], oid)
-	}
-	m.classOf[oid] = e.Class
-	members := m.classRep[e.Class]
-	if members == nil {
-		members = make(map[catalog.OID]struct{})
-		m.classRep[e.Class] = members
-	}
-	members[oid] = struct{}{}
-	if v.Text != "" {
-		m.contentBytes[e.Source] += int64(len(v.Text))
-	}
-	m.mu.Unlock()
-
-	// Journal with the leader's add/update distinction so the follower's
-	// change feed and version-keyed caches behave like the leader's. A
-	// byte-identical re-apply (overlapping batch) changes nothing and is
-	// not journaled — same rule that keeps unchanged re-registrations
-	// out of the leader's journal.
-	if prevErr != nil {
-		m.history.record(ChangeRecord{Kind: ChangeAdded, OID: oid, Source: e.Source, URI: e.URI, Name: e.Name})
-	} else if prev.Name != e.Name || prev.Class != e.Class ||
-		prev.ContentSize != e.ContentSize || prev.Stamp != e.Stamp {
-		m.history.record(ChangeRecord{Kind: ChangeUpdated, OID: oid, Source: e.Source, URI: e.URI, Name: e.Name})
-	}
-}
-
-// applyEdges replaces the source's slice of the group replica and its
-// reverse edges — commitReplica's semantics, driven by a shipped record
-// instead of a local sync walk.
-func (m *Manager) applyEdges(rec store.Record) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, oid := range m.catalog.SourceOIDs(rec.Source) {
-		for _, child := range m.groupRep[oid] {
-			m.parentRep[child] = removeOID(m.parentRep[child], oid)
-		}
-		delete(m.groupRep, oid)
-	}
-	for _, el := range rec.Edges {
-		cs := append([]catalog.OID(nil), el.Children...)
-		if m.opts.ReplicateGroups {
-			m.groupRep[el.Parent] = cs
-		}
-		for _, c := range cs {
-			m.parentRep[c] = appendUniqueOID(m.parentRep[c], el.Parent)
-		}
-	}
 }
 
 // ResetFromState discards the Replica & Indexes contents and rebuilds
@@ -159,23 +58,7 @@ func (m *Manager) ResetFromState(st *store.State) {
 	if st == nil {
 		return
 	}
-	m.mu.Lock()
-	m.nameIdx = textindex.New()
-	m.tupleIdx = tupleindex.New()
-	m.contentIdx = textindex.New()
-	m.imageIdx = imageindex.New()
-	m.nameRep = make(map[catalog.OID]string)
-	m.byLowerName = make(map[string]map[catalog.OID]struct{})
-	m.nameLower = make(map[catalog.OID]string)
-	m.groupRep = make(map[catalog.OID][]catalog.OID)
-	m.parentRep = make(map[catalog.OID][]catalog.OID)
-	m.classRep = make(map[string]map[catalog.OID]struct{})
-	m.classOf = make(map[catalog.OID]string)
-	m.views = make(map[catalog.OID]core.ResourceView)
-	m.contentBytes = make(map[string]int64)
-	m.mu.Unlock()
 	m.catalog.Reset(st.NextOID, st.Entries())
 	m.RestoreFromState(st)
 	m.history.bump()
-	m.met.views.Set(int64(m.catalog.Count()))
 }

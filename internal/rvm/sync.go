@@ -9,12 +9,9 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/imageindex"
 	"repro/internal/obs"
 	"repro/internal/sources"
 	"repro/internal/store"
-	"repro/internal/textindex"
-	"repro/internal/tupleindex"
 )
 
 // SyncTiming is the per-source timing breakdown Figure 5 of the paper
@@ -150,7 +147,7 @@ func (m *Manager) syncSource(id string) (SyncTiming, error) {
 	// Deregister views that disappeared from the source.
 	for _, oid := range m.catalog.SourceOIDs(id) {
 		if !w.seen[oid] {
-			if err := m.remove(oid); err != nil {
+			if err := m.commit(id, store.Record{Kind: store.KindRemove, OID: oid}); err != nil {
 				return timing, err
 			}
 			timing.Removed++
@@ -249,39 +246,27 @@ type syncWalk struct {
 	group map[catalog.OID][]catalog.OID
 }
 
-// commitReplica atomically replaces the source's slice of the group
-// replica (and the reverse edges derived from it) with the edges this
-// walk observed. With a durability layer, the commit is logged to the
-// WAL (and, under the default policy, fsynced) before it is applied —
-// this record is the sync's durable commit point.
+// commitReplica commits the group edges this walk observed as the
+// source's new slice of the group replica. With a durability layer the
+// edges record is the sync's durable commit point: it is logged (and,
+// under the default policy, fsynced) before it is applied.
 func (w *syncWalk) commitReplica() error {
-	m := w.m
-	if err := m.logEdges(w.source, w.group); err != nil {
-		return err
+	rec := store.Record{Kind: store.KindEdges, Source: w.source}
+	parents := make([]catalog.OID, 0, len(w.group))
+	for p := range w.group {
+		parents = append(parents, p)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, oid := range m.catalog.SourceOIDs(w.source) {
-		for _, child := range m.groupRep[oid] {
-			m.parentRep[child] = removeOID(m.parentRep[child], oid)
-		}
-		delete(m.groupRep, oid)
+	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
+	for _, p := range parents {
+		rec.Edges = append(rec.Edges, store.EdgeList{Parent: p, Children: w.group[p]})
 	}
-	for oid, childOIDs := range w.group {
-		if m.opts.ReplicateGroups {
-			m.groupRep[oid] = childOIDs
-		}
-		for _, coid := range childOIDs {
-			m.parentRep[coid] = appendUniqueOID(m.parentRep[coid], oid)
-		}
-	}
-	return nil
+	return w.m.commit(w.source, rec)
 }
 
 // register assigns (or re-finds) the OID for a view and sends its
-// component definitions to the Replica&Indexes module. It is idempotent
-// per sync. Added or updated views are logged to the WAL before the
-// in-memory indexes and replicas are touched; a failed log aborts the
+// component definitions to the Replica&Indexes module as one upsert
+// record. It is idempotent per sync. Added or updated views are logged
+// to the WAL before the record is applied; a failed log aborts the
 // sync, leaving the previous durable state the recovery target.
 func (w *syncWalk) register(v core.ResourceView, parent catalog.OID, parentURI string, ordinal int) (catalog.OID, error) {
 	if oid, done := w.viewOID[v]; done {
@@ -351,64 +336,28 @@ func (w *syncWalk) register(v core.ResourceView, parent catalog.OID, parentURI s
 	// Each change creates a new version of the dataspace: new URIs are
 	// additions; re-registered URIs are updates when any cataloged
 	// property changed (unchanged views are not journaled).
-	changed := false
-	if prevErr != nil {
-		changed = true
-		m.history.record(ChangeRecord{Kind: ChangeAdded, OID: oid, Source: w.source, URI: uri, Name: name})
-	} else if prev.Name != name || prev.Class != class || prev.ContentSize != contentSize || prev.Stamp != stamp {
-		changed = true
-		m.history.record(ChangeRecord{Kind: ChangeUpdated, OID: oid, Source: w.source, URI: uri, Name: name})
-	}
+	changed := m.journalUpsert(prev, prevErr == nil, ent)
 
 	// --- Write-ahead logging. ------------------------------------------
 	// Unchanged re-registrations are not logged: the durable state
 	// already carries this exact record (the same fingerprint rule that
-	// keeps them out of the change journal and off the broker).
+	// keeps them out of the change journal and off the broker). They are
+	// still re-applied in memory.
+	rec := store.Record{Kind: store.KindUpsert,
+		View: &store.ViewRecord{Entry: ent, Tuple: tc, Text: text, Binary: binary}}
 	if changed {
-		if err := m.logUpsert(w.source, ent, store.ViewRecord{Tuple: tc, Text: text, Binary: binary}); err != nil {
+		if err := m.log(w.source, rec); err != nil {
 			return 0, err
 		}
 	}
 
 	// --- Component indexing. -------------------------------------------
 	start = time.Now()
-	m.nameIdx.Add(textindex.DocID(oid), name)
-	if !tc.IsEmpty() {
-		m.tupleIdx.Add(tupleindex.DocID(oid), tc)
-	}
-	if text != "" {
-		m.contentIdx.Add(textindex.DocID(oid), text)
-	}
-	if len(binary) > 0 {
-		m.imageIdx.Add(imageindex.DocID(oid), binary)
+	if err := m.apply(m.live(), rec); err != nil {
+		return 0, err
 	}
 	m.mu.Lock()
-	lowered := strings.ToLower(name)
-	if old, ok := m.nameLower[oid]; ok && old != lowered {
-		delete(m.byLowerName[old], oid)
-	}
-	m.nameRep[oid] = name
-	m.nameLower[oid] = lowered
-	exact := m.byLowerName[lowered]
-	if exact == nil {
-		exact = make(map[catalog.OID]struct{})
-		m.byLowerName[lowered] = exact
-	}
-	exact[oid] = struct{}{}
 	m.views[oid] = v
-	if old, ok := m.classOf[oid]; ok && old != class {
-		delete(m.classRep[old], oid)
-	}
-	m.classOf[oid] = class
-	members := m.classRep[class]
-	if members == nil {
-		members = make(map[catalog.OID]struct{})
-		m.classRep[class] = members
-	}
-	members[oid] = struct{}{}
-	if text != "" {
-		m.contentBytes[w.source] += int64(len(text))
-	}
 	m.mu.Unlock()
 	w.timing.ComponentIndexing += time.Since(start)
 
@@ -504,62 +453,6 @@ func modStamp(tc core.TupleComponent, contentSize int64) string {
 		return fmt.Sprintf("sz:%d", contentSize)
 	}
 	return ""
-}
-
-// remove deregisters one view from the catalog and every index/replica.
-// The removal is logged to the WAL before it is applied.
-func (m *Manager) remove(oid catalog.OID) error {
-	if e, err := m.catalog.Get(oid); err == nil {
-		if err := m.logRemove(e.Source, oid); err != nil {
-			return err
-		}
-		m.history.record(ChangeRecord{Kind: ChangeRemoved, OID: oid, Source: e.Source, URI: e.URI, Name: e.Name})
-	}
-	m.catalog.Remove(oid)
-	m.nameIdx.Delete(textindex.DocID(oid))
-	m.contentIdx.Delete(textindex.DocID(oid))
-	m.tupleIdx.Delete(tupleindex.DocID(oid))
-	m.imageIdx.Delete(imageindex.DocID(oid))
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.nameRep, oid)
-	if lowered, ok := m.nameLower[oid]; ok {
-		delete(m.byLowerName[lowered], oid)
-		delete(m.nameLower, oid)
-	}
-	delete(m.views, oid)
-	if class, ok := m.classOf[oid]; ok {
-		delete(m.classRep[class], oid)
-		delete(m.classOf, oid)
-	}
-	for _, child := range m.groupRep[oid] {
-		m.parentRep[child] = removeOID(m.parentRep[child], oid)
-	}
-	delete(m.groupRep, oid)
-	for _, parent := range m.parentRep[oid] {
-		m.groupRep[parent] = removeOID(m.groupRep[parent], oid)
-	}
-	delete(m.parentRep, oid)
-	return nil
-}
-
-func appendUniqueOID(list []catalog.OID, oid catalog.OID) []catalog.OID {
-	for _, o := range list {
-		if o == oid {
-			return list
-		}
-	}
-	return append(list, oid)
-}
-
-func removeOID(list []catalog.OID, oid catalog.OID) []catalog.OID {
-	out := list[:0]
-	for _, o := range list {
-		if o != oid {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // isTextual mirrors the paper's "net input" rule: content that cannot be

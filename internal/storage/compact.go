@@ -58,8 +58,7 @@ type CompactStore struct {
 	baseLSN uint64 // tail serves LSNs >= baseLSN; older history is compacted
 	snapSeq uint64 // watermark LSN of the newest completed compaction
 	tail    *os.File
-	dropped map[string]bool // sources whose segments were dropped
-	lock    *store.DirLock  // exclusive data-dir lock, held for the engine's lifetime
+	lock    *store.DirLock // exclusive data-dir lock, held for the engine's lifetime
 }
 
 type compactMetrics struct {
@@ -104,7 +103,6 @@ func OpenCompact(dir string, opts Options) (*CompactStore, store.RecoveryInfo, e
 		met:     newCompactMetrics(opts.Metrics),
 		state:   store.NewState(),
 		nextLSN: 1,
-		dropped: make(map[string]bool),
 	}
 	if err := os.MkdirAll(c.segDir, 0o755); err != nil {
 		return nil, store.RecoveryInfo{}, err
@@ -287,22 +285,12 @@ func (c *CompactStore) crash(cause error) error {
 
 // Append logs one record to the tail, applies it to the shadow state
 // and fsyncs according to the policy — write-ahead order. The source
-// only routes the drop-suppression bookkeeping; every record lands in
-// the single tail.
-func (c *CompactStore) Append(source string, rec store.Record) error {
+// routes nothing here: every record lands in the single tail.
+func (c *CompactStore) Append(_ string, rec store.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead != nil {
 		return c.dead
-	}
-	if c.dropped[source] {
-		// Same contract as the WAL store: stray trailing records for a
-		// just-dropped source are meaningless until it is re-added, which
-		// necessarily starts with an Upsert.
-		if rec.Kind != store.KindUpsert {
-			return nil
-		}
-		delete(c.dropped, source)
 	}
 	return c.appendLocked(rec)
 }
@@ -379,7 +367,6 @@ func (c *CompactStore) DropSource(source string, nextOID catalog.OID) error {
 	if err := os.Remove(filepath.Join(c.segDir, segmentFileName(source))); err != nil && !os.IsNotExist(err) {
 		return c.crash(err)
 	}
-	c.dropped[source] = true
 	if err := syncDir(c.segDir); err != nil {
 		return c.crash(err)
 	}

@@ -296,24 +296,20 @@ func TestConformanceDropSource(t *testing.T) {
 			if seg.HasSegment("mail") {
 				t.Fatal("mail artifact survived DropSource")
 			}
-			// Stray trailing records for the dropped source are suppressed
-			// until an upsert re-adds it.
-			if err := eng.Append("mail", edges("mail", 3)); err != nil {
-				t.Fatal(err)
-			}
 			for _, v := range eng.State().Views {
 				if v.Entry.Source == "mail" {
 					t.Fatalf("dropped source still has view %d", v.Entry.OID)
 				}
 			}
 			if _, ok := eng.State().Edges["mail"]; ok {
-				t.Fatal("suppressed edge record reached the state")
+				t.Fatal("dropped source still has edges")
 			}
+			// Re-adding the source after the drop.
 			if err := eng.Append("mail", upsert(11, "mail", "/inbox/2")); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := eng.State().Views[11]; !ok {
-				t.Fatal("re-added source's upsert was suppressed")
+				t.Fatal("re-added source's upsert is missing from the state")
 			}
 			if eng.State().NextOID != 11 {
 				t.Fatalf("NextOID %d, want 11", eng.State().NextOID)

@@ -129,7 +129,6 @@ type Store struct {
 	baseLSN  uint64 // WAL covers LSNs >= baseLSN; older ones live only in the snapshot
 	snapSeq  uint64
 	segments map[string]*os.File // source → open segment
-	dropped  map[string]bool     // sources whose segments were dropped
 	lock     *DirLock            // exclusive data-dir lock, held for the store's lifetime
 }
 
@@ -169,7 +168,6 @@ func Open(dir string, opts Options) (*Store, RecoveryInfo, error) {
 		state:    NewState(),
 		nextLSN:  1,
 		segments: make(map[string]*os.File),
-		dropped:  make(map[string]bool),
 	}
 	if err := os.MkdirAll(s.walDir, 0o755); err != nil {
 		return nil, RecoveryInfo{}, err
@@ -342,15 +340,6 @@ func (s *Store) Append(source string, rec Record) error {
 	if s.dead != nil {
 		return s.dead
 	}
-	if s.dropped[source] {
-		// The source's segment was just dropped (RemoveSource); stray
-		// trailing records for it are meaningless until it is re-added,
-		// which necessarily starts with an Upsert.
-		if rec.Kind != KindUpsert {
-			return nil
-		}
-		delete(s.dropped, source)
-	}
 	return s.appendLocked(source, rec)
 }
 
@@ -428,7 +417,6 @@ func (s *Store) DropSource(source string, nextOID catalog.OID) error {
 	if err := os.Remove(filepath.Join(s.walDir, name)); err != nil && !os.IsNotExist(err) {
 		return s.crash(err)
 	}
-	s.dropped[source] = true
 	return syncDir(s.walDir)
 }
 

@@ -238,14 +238,7 @@ func TestStoreDropSource(t *testing.T) {
 	if s.HasSegment("fs") {
 		t.Fatal("fs segment survived DropSource")
 	}
-	// Stray post-drop records for the source are suppressed...
-	if err := s.Append("fs", Record{Kind: KindRemove, OID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if s.HasSegment("fs") {
-		t.Fatal("suppressed record re-created the segment")
-	}
-	// ...until an upsert re-adds it.
+	// Re-adding the source starts a fresh segment.
 	if err := s.Append("fs", upsert(3, "fs", "/new")); err != nil {
 		t.Fatal(err)
 	}

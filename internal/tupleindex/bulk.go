@@ -1,18 +1,12 @@
 package tupleindex
 
-import (
-	"strings"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Builder constructs an Index with a bulk build: Add appends column
-// entries without locking or duplicate probing (the caller feeds each
-// document at most once per build, as a state restore does), and Build
-// sorts every column exactly once — so the first post-restore query
-// never pays the lazy re-sort, and re-added documents never trigger the
-// O(column) compaction the incremental path performs. A Builder is
-// single-use and not safe for concurrent use; the Index it returns is.
+// entries without locking, and Build sorts every column exactly once —
+// so the first post-restore query never pays the lazy re-sort. A
+// Builder is single-use and not safe for concurrent use; the Index it
+// returns is.
 type Builder struct {
 	ix *Index
 }
@@ -20,27 +14,9 @@ type Builder struct {
 // NewBuilder returns an empty bulk builder.
 func NewBuilder() *Builder { return &Builder{ix: New()} }
 
-// Add spills one document's tuple component. Re-adding a document falls
-// back to the incremental replace path to keep semantics identical to
-// Index.Add.
-func (b *Builder) Add(doc DocID, tc core.TupleComponent) {
-	if _, exists := b.ix.replica[doc]; exists {
-		b.ix.removeLocked(doc)
-	}
-	b.ix.replica[doc] = tc
-	for i, attr := range tc.Schema {
-		if i >= len(tc.Tuple) {
-			break
-		}
-		name := strings.ToLower(attr.Name)
-		col, ok := b.ix.columns[name]
-		if !ok {
-			col = &column{}
-			b.ix.columns[name] = col
-		}
-		col.entries = append(col.entries, entry{value: tc.Tuple[i], doc: doc})
-	}
-}
+// Add spills one document's tuple component; re-adding a document
+// replaces it, exactly as Index.Add does.
+func (b *Builder) Add(doc DocID, tc core.TupleComponent) { b.ix.addLocked(doc, tc) }
 
 // DocCount returns the number of documents added so far.
 func (b *Builder) DocCount() int { return len(b.ix.replica) }

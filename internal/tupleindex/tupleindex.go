@@ -85,6 +85,12 @@ func New() *Index {
 func (ix *Index) Add(doc DocID, tc core.TupleComponent) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.addLocked(doc, tc)
+}
+
+// addLocked is Add without the lock; Builder.Add shares it. Appending
+// leaves the touched columns unsorted until the next query or Build.
+func (ix *Index) addLocked(doc DocID, tc core.TupleComponent) {
 	if _, exists := ix.replica[doc]; exists {
 		ix.removeLocked(doc)
 	}
