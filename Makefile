@@ -50,13 +50,16 @@ load-smoke:
 	$(GO) test -race ./internal/server -run 'TestLoadConcurrentTenants' -v \
 		-args -load-tenants=20 -load-clients=5 -load-iters=4
 
-# Storage-backend matrix: the Engine conformance suite (append, tail,
-# recovery, drop, digest, crash matrix, dir lock) against both backends,
-# plus every root-level crash/chaos/differential harness that is
-# backend-parameterized (docs/PERSISTENCE.md).
+# Storage-backend matrix: the Engine conformance suite (append, append
+# at an LSN, install, tail, recovery, drop, digest, crash matrix, dir
+# lock) against both backends, plus every root-level crash/chaos/
+# differential harness that is backend-parameterized — the replica crash
+# matrix among them: a follower logs through the engine, so killing one
+# mid-pull is an engine test (TestReplicaCrashMatrix on wal,
+# TestReplicaCrashMatrixCompact on compact). See docs/PERSISTENCE.md.
 storage-matrix:
 	$(GO) test -race -v -run 'TestConformance|TestDirLock' ./internal/storage
-	$(GO) test -race -run 'TestCrashMatrix|TestCrashDuringSnapshot|TestDoubleCrashDuringRecovery|TestReplicaDifferential' .
+	$(GO) test -race -run 'TestCrashMatrix|TestCrashDuringSnapshot|TestDoubleCrashDuringRecovery|TestReplicaDifferential|TestReplicaCrashMatrix' .
 
 # Replication chaos suite at the pinned seed: every lane (drop, dup,
 # reorder, torn, all) of the hostile-transport schedule replays

@@ -69,7 +69,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable dataspace directory: WAL + snapshots, recovered on startup (docs/PERSISTENCE.md)")
 	fsync := flag.String("fsync", "commit", "with -data-dir: WAL flush policy, commit|always|never")
 	backend := flag.String("backend", "wal", "with -data-dir: storage backend, wal|compact (must match the existing directory)")
-	replicaDir := flag.String("replica-dir", "", "with -data-dir: attach a WAL-shipping read replica in this directory (docs/REPLICATION.md)")
+	replicaDir := flag.String("replica-dir", "", "with -data-dir: attach a WAL-shipping read replica in this directory, on the same -backend and -fsync (docs/REPLICATION.md)")
 	var faultRules []idm.FaultRule
 	flag.Func("fault", "inject a fault, spec point:kind[:p[:times]] (repeatable; kind error|latency[@dur]|partial|corrupt)", func(spec string) error {
 		r, err := idm.ParseFaultRule(spec)
@@ -179,7 +179,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "imemex: -replica-dir requires -data-dir (the replica tails the durable WAL)")
 			os.Exit(2)
 		}
-		rep, err = idm.OpenReplica(*replicaDir, leader, idm.Config{Expansion: exp, Now: cfg.Now})
+		rep, err = idm.OpenReplica(*replicaDir, leader, idm.Config{
+			Expansion: exp, Now: cfg.Now, Backend: cfg.Backend, Fsync: cfg.Fsync,
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

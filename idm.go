@@ -139,7 +139,8 @@ const (
 	BackendWAL = storage.BackendWAL
 	// BackendCompact is the read-optimized engine: one immutable sorted
 	// segment per source, rebuilt by compaction, plus an append tail —
-	// suited to read-heavy replicas.
+	// suited to read-heavy replicas (OpenReplica opens its engine from
+	// Config.Backend like OpenDurable does).
 	BackendCompact = storage.BackendCompact
 )
 
@@ -282,13 +283,14 @@ type Config struct {
 	// Empty keeps the system fully in-memory. See docs/PERSISTENCE.md.
 	DataDir string
 	// Fsync selects the WAL flush policy (default SyncOnCommit); only
-	// meaningful with DataDir.
+	// meaningful with DataDir or for OpenReplica's directory.
 	Fsync SyncPolicy
 	// Backend selects the storage engine for DataDir (default
 	// BackendWAL, the write-optimized per-source WAL store; see
 	// BackendCompact for the read-optimized compacted segment store).
-	// Only meaningful with DataDir, and must match what the directory
-	// was created with. See docs/PERSISTENCE.md.
+	// Only meaningful with DataDir or for OpenReplica's directory, and
+	// must match what the directory was created with. See
+	// docs/PERSISTENCE.md.
 	Backend StorageBackend
 }
 

@@ -1,42 +1,52 @@
 package repl
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
-	"repro/internal/fault"
 	"repro/internal/store"
 )
 
-// Fault-injection points the follower consults; the crash-a-follower
-// matrix arms them to kill the follower at exact apply positions.
+// The follower logs through a storage engine, so its crash points and
+// its dead state are the engine's: the crash-a-follower matrix arms
+// store.FaultAppend (crash before shipped record k is logged) and
+// store.FaultTorn (crash after half of it is written) on the engine's
+// injector, and a crashed follower answers store.ErrCrashed.
 const (
-	// FaultApply fires before a shipped record is appended to the
-	// follower's local WAL: a crash at a record boundary.
-	FaultApply = "repl/apply/append"
-	// FaultApplyTorn fires after half of a shipped frame is written: a
-	// crash mid-record, leaving a torn tail in the follower's WAL.
-	FaultApplyTorn = "repl/apply/torn"
+	FaultApply     = store.FaultAppend
+	FaultApplyTorn = store.FaultTorn
 )
 
-// ErrCrashed is returned by every follower operation after an injected
-// crash or an unrecoverable I/O error, exactly like store.ErrCrashed.
-var ErrCrashed = errors.New("repl: follower crashed")
+// ErrCrashed is store.ErrCrashed: every pull after an injected crash or
+// an unrecoverable I/O error in the follower's engine returns it.
+var ErrCrashed = store.ErrCrashed
 
-// followWAL is the follower's local log of shipped frames (leader LSNs
-// preserved); stateSnap is the installed full-state image, if any.
-const (
-	followWAL = "follow.wal"
-	stateSnap = "state.snap"
-)
+// Log is the slice of the storage engine a follower writes through:
+// append at the leader's LSN, flush once per batch, install a full-state
+// image. Both backends satisfy it via storage.Engine; like LogSource it
+// keeps repl off any concrete engine. Recovery, torn-tail truncation,
+// the directory lock, the shadow state and its digest are the engine's.
+type Log interface {
+	// AppendAt logs rec at lsn; it refuses an lsn below NextLSN().
+	AppendAt(source string, lsn uint64, rec store.Record) error
+	// Flush fsyncs what was appended (by the engine's fsync policy).
+	Flush() error
+	// Install makes st, resuming at nextLSN, the durable state.
+	Install(st *store.State, nextLSN uint64) error
+	// NextLSN is one past the highest LSN the log holds — exactly so
+	// after a reopen too, which is what lets the follower's applied
+	// position be NextLSN()-1 instead of a number of its own.
+	NextLSN() uint64
+	// Digest is the stable digest of the durable state.
+	Digest() string
+	// Close flushes and releases the directory.
+	Close() error
+}
 
 // Applier receives each applied record (and full-state resets) — the
 // hook through which the root-level Replica drives the rvm replay path.
 // Durability happens before the Applier runs: a crash between the two
-// is healed on restart by replaying the local WAL.
+// is healed on restart by rebuilding from the engine's recovered state.
 type Applier interface {
 	Apply(rec store.Record) error
 	Reset(st *store.State) error
@@ -44,116 +54,31 @@ type Applier interface {
 
 // FollowerOptions tunes a Follower.
 type FollowerOptions struct {
-	// Faults is consulted at the Fault* points; nil injects nothing.
-	Faults *fault.Injector
 	// Applier receives applied records; nil keeps the follower a pure
 	// durable tail (tests; the Replica wires one in).
 	Applier Applier
 }
 
-// FollowerRecovery reports what OpenFollower reconstructed.
-type FollowerRecovery struct {
-	// SnapshotLSN is the applied LSN the installed state image carried
-	// (0 = no image).
-	SnapshotLSN uint64
-	// WALRecords counts records replayed from the local WAL.
-	WALRecords int
-	// TornTail reports whether a torn final record was truncated away.
-	TornTail bool
-	// AppliedLSN is the recovered applied position.
-	AppliedLSN uint64
-}
-
-// Follower is the receiving end of WAL shipping: it makes shipped
-// records durable in its own directory, folds them into a shadow state
-// (the convergence witness Digest hashes), and forwards them to the
-// Applier. All methods are safe for concurrent use; Pull serializes
-// against itself via the mutex.
+// Follower is the receiving end of WAL shipping: it validates shipped
+// batches, logs the new records through its engine at their leader
+// LSNs, and forwards them to the Applier. What is replication-only
+// lives here — ship, validate, overlap re-apply, lag accounting; what is
+// durable lives in the engine. All methods are safe for concurrent use;
+// Pull serializes against itself via the mutex.
 type Follower struct {
-	dir  string
-	opts FollowerOptions
+	log     Log
+	applier Applier
 
 	mu        sync.Mutex
-	dead      error
-	state     *store.State
-	applied   uint64
 	leaderLSN uint64
-	wal       *os.File
 }
 
-// OpenFollower opens (creating if needed) the follower directory and
-// recovers its position: the installed state image (if any) is loaded,
-// then the local WAL is replayed in file order, skipping records at or
-// below the image's LSN and truncating a torn tail — the same
-// last-good-prefix contract the leader's store recovery honours.
-func OpenFollower(dir string, opts FollowerOptions) (*Follower, FollowerRecovery, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, FollowerRecovery{}, err
-	}
-	f := &Follower{dir: dir, opts: opts, state: store.NewState()}
-	var info FollowerRecovery
-
-	if img, err := os.ReadFile(filepath.Join(dir, stateSnap)); err == nil {
-		st, nextLSN, derr := store.DecodeSnapshot(img)
-		if derr != nil {
-			// The image is written atomically (tmp+rename), so damage
-			// means media corruption; the WAL alone cannot reconstruct a
-			// compacted history, so refuse rather than silently diverge.
-			return nil, info, fmt.Errorf("repl: follower state image: %w", derr)
-		}
-		f.state = st
-		f.applied = nextLSN - 1
-		info.SnapshotLSN = f.applied
-	} else if !os.IsNotExist(err) {
-		return nil, info, err
-	}
-
-	walPath := filepath.Join(dir, followWAL)
-	if b, err := os.ReadFile(walPath); err == nil {
-		res, rerr := store.ReplayBytes(b, func(lsn uint64, rec store.Record) error {
-			if lsn <= f.applied {
-				return nil // pre-image records left behind by an interrupted install
-			}
-			f.state.Apply(rec)
-			f.applied = lsn
-			info.WALRecords++
-			return nil
-		})
-		if rerr != nil {
-			return nil, info, rerr
-		}
-		if res.Warning != "" {
-			info.TornTail = true
-			if err := os.Truncate(walPath, int64(res.GoodOffset)); err != nil {
-				return nil, info, err
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, info, err
-	}
-
-	wal, err := os.OpenFile(walPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, info, err
-	}
-	f.wal = wal
-	info.AppliedLSN = f.applied
-	return f, info, nil
-}
-
-// SetApplier wires the Applier in after recovery — the caller rebuilds
-// its replay target (catalog, indexes) from State() first, then attaches
-// it here before the first Pull.
-func (f *Follower) SetApplier(a Applier) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.opts.Applier = a
-}
-
-// crash marks the follower dead and returns the wrapped cause.
-func (f *Follower) crash(cause error) error {
-	f.dead = fmt.Errorf("%w: %w", ErrCrashed, cause)
-	return f.dead
+// NewFollower returns a follower writing through log, which it owns
+// from here on (Close closes it). The caller rebuilds its replay target
+// (catalog, indexes) from the engine's recovered state before the first
+// Pull.
+func NewFollower(log Log, opts FollowerOptions) *Follower {
+	return &Follower{log: log, applier: opts.Applier}
 }
 
 // Pull ships one batch from the transport and applies it. A batch that
@@ -166,10 +91,8 @@ func (f *Follower) crash(cause error) error {
 func (f *Follower) Pull(t Transport) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.dead != nil {
-		return 0, f.dead
-	}
-	b, err := t.Ship(f.applied)
+	applied := f.AppliedLSN()
+	b, err := t.Ship(applied)
 	if err != nil {
 		return 0, err
 	}
@@ -180,17 +103,13 @@ func (f *Follower) Pull(t Transport) (int, error) {
 		f.leaderLSN = b.LeaderLSN
 		return 1, nil
 	}
-	if b.FromLSN > f.applied {
-		return 0, fmt.Errorf("%w: batch starts at %d, follower applied %d", ErrBadBatch, b.FromLSN, f.applied)
+	if b.FromLSN > applied {
+		return 0, fmt.Errorf("%w: batch starts at %d, follower applied %d", ErrBadBatch, b.FromLSN, applied)
 	}
 	// Decode and validate the whole batch before touching anything.
-	type shipped struct {
-		lsn uint64
-		rec store.Record
-	}
-	var recs []shipped
+	var recs []store.TailRecord
 	res, err := store.ReplayBytes(b.Frames, func(lsn uint64, rec store.Record) error {
-		recs = append(recs, shipped{lsn: lsn, rec: rec})
+		recs = append(recs, store.TailRecord{LSN: lsn, Rec: rec})
 		return nil
 	})
 	if err != nil {
@@ -204,96 +123,64 @@ func (f *Follower) Pull(t Transport) (int, error) {
 	}
 	prev := b.FromLSN
 	for _, r := range recs {
-		if r.lsn <= prev {
-			return 0, fmt.Errorf("%w: LSN %d after %d (not strictly increasing)", ErrBadBatch, r.lsn, prev)
+		if r.LSN <= prev {
+			return 0, fmt.Errorf("%w: LSN %d after %d (not strictly increasing)", ErrBadBatch, r.LSN, prev)
 		}
-		prev = r.lsn
+		prev = r.LSN
 	}
-	if len(recs) > 0 && recs[len(recs)-1].lsn != b.ToLSN {
-		return 0, fmt.Errorf("%w: last LSN %d, header says %d", ErrBadBatch, recs[len(recs)-1].lsn, b.ToLSN)
+	if len(recs) > 0 && recs[len(recs)-1].LSN != b.ToLSN {
+		return 0, fmt.Errorf("%w: last LSN %d, header says %d", ErrBadBatch, recs[len(recs)-1].LSN, b.ToLSN)
 	}
 
-	applied := 0
+	logged := 0
 	for _, r := range recs {
-		if r.lsn > f.applied {
-			// Durability first: log the frame locally, then fold it in.
-			frame, err := store.AppendFrame(nil, r.lsn, r.rec)
-			if err != nil {
-				return applied, err
+		if r.LSN > applied {
+			// Durability first: log the record at its leader LSN, then
+			// fold it in. Every record goes to the engine's meta stream —
+			// recovery merges by LSN, so routing cannot change the result.
+			if err := f.log.AppendAt("", r.LSN, r.Rec); err != nil {
+				return logged, err
 			}
-			if err := f.opts.Faults.Fail(FaultApply); err != nil {
-				return applied, f.crash(err)
-			}
-			if err := f.opts.Faults.Fail(FaultApplyTorn); err != nil {
-				// A crash mid-write: half the frame reaches the disk.
-				f.wal.Write(frame[:len(frame)/2])
-				f.wal.Sync()
-				return applied, f.crash(err)
-			}
-			if _, err := f.wal.Write(frame); err != nil {
-				return applied, f.crash(err)
-			}
-			f.state.Apply(r.rec)
-			f.applied = r.lsn
-			applied++
+			logged++
 		}
 		// Records at or below the applied position (an overlapping
 		// re-ship) still flow through the Applier: its apply path is
 		// idempotent and this is where that contract is exercised.
-		if f.opts.Applier != nil {
-			if err := f.opts.Applier.Apply(r.rec); err != nil {
-				return applied, err
+		if f.applier != nil {
+			if err := f.applier.Apply(r.Rec); err != nil {
+				return logged, err
 			}
 		}
 	}
-	if applied > 0 {
-		if err := f.wal.Sync(); err != nil {
-			return applied, f.crash(err)
+	if logged > 0 {
+		if err := f.log.Flush(); err != nil {
+			return logged, err
 		}
 	}
 	f.leaderLSN = b.LeaderLSN
-	return applied, nil
+	return logged, nil
 }
 
-// installSnapshotLocked installs a full-state image: tmp+rename the
-// image, truncate the local WAL, swap the shadow state, reset the
-// Applier. A crash between rename and truncate is safe — recovery skips
-// WAL records at or below the image's LSN.
+// installSnapshotLocked installs a full-state image: the engine makes
+// it durable and swaps its shadow state (by its own compaction path and
+// commit point), then the Applier is reset to it.
 func (f *Follower) installSnapshotLocked(b *Batch) error {
 	st, nextLSN, err := store.DecodeSnapshot(b.Snapshot)
 	if err != nil {
 		return fmt.Errorf("%w: snapshot: %v", ErrBadBatch, err)
 	}
-	tmp := filepath.Join(f.dir, ".state.tmp")
-	if err := os.WriteFile(tmp, b.Snapshot, 0o644); err != nil {
-		return f.crash(err)
+	if err := f.log.Install(st, nextLSN); err != nil {
+		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(f.dir, stateSnap)); err != nil {
-		os.Remove(tmp)
-		return f.crash(err)
-	}
-	if err := f.wal.Truncate(0); err != nil {
-		return f.crash(err)
-	}
-	if _, err := f.wal.Seek(0, 0); err != nil {
-		return f.crash(err)
-	}
-	f.state = st
-	f.applied = nextLSN - 1
-	if f.opts.Applier != nil {
-		if err := f.opts.Applier.Reset(st); err != nil {
-			return err
-		}
+	if f.applier != nil {
+		return f.applier.Reset(st)
 	}
 	return nil
 }
 
-// AppliedLSN returns the follower's durable applied position.
-func (f *Follower) AppliedLSN() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.applied
-}
+// AppliedLSN returns the follower's applied position: the highest LSN
+// its engine holds.
+func (f *Follower) AppliedLSN() uint64 { return f.log.NextLSN() - 1 }
 
 // LeaderLSN returns the leader position last advertised to this
 // follower (0 before the first pull).
@@ -308,41 +195,17 @@ func (f *Follower) LeaderLSN() uint64 {
 func (f *Follower) Lag() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.leaderLSN <= f.applied {
+	applied := f.AppliedLSN()
+	if f.leaderLSN <= applied {
 		return 0
 	}
-	return f.leaderLSN - f.applied
+	return f.leaderLSN - applied
 }
 
-// Digest returns the stable digest of the follower's shadow state; it
-// equals the leader's store Digest exactly when the follower has
-// applied the leader's whole log.
-func (f *Follower) Digest() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.state.Digest()
-}
+// Digest returns the digest of the engine's durable state; it equals
+// the leader's exactly when the follower has applied the leader's whole
+// log.
+func (f *Follower) Digest() string { return f.log.Digest() }
 
-// State returns the follower's shadow state, from which the root-level
-// Replica rebuilds catalog and indexes after recovery. Callers must not
-// mutate it and must not race it against Pull.
-func (f *Follower) State() *store.State {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.state
-}
-
-// Close closes the local WAL. The follower is unusable afterwards.
-func (f *Follower) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.dead == nil {
-		f.dead = errors.New("repl: follower closed")
-	}
-	if f.wal == nil {
-		return nil
-	}
-	err := f.wal.Close()
-	f.wal = nil
-	return err
-}
+// Close closes the engine. The follower is unusable afterwards.
+func (f *Follower) Close() error { return f.log.Close() }

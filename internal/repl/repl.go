@@ -1,19 +1,22 @@
 // Package repl is the WAL-shipping replication layer: the scale-out
 // story for the "networks of P2P iMeMex instances" the iDM paper's
-// conclusion plans. A Leader exposes its durable store's per-source WAL
-// segments (internal/store) as LSN-ordered batches; a Follower tails
-// them over a Transport, makes each record durable in its own directory,
-// folds it into a shadow state, and hands it to an Applier (the rvm
-// replay path) — so a caught-up follower answers queries exactly like
-// its leader and serves as a read-only Peer in a Federation.
+// conclusion plans. A Leader exposes its storage engine's log as
+// LSN-ordered batches; a Follower tails them over a Transport, validates
+// each batch, logs the new records at their leader LSNs through a
+// storage engine of its own (the Log interface — the same engine a
+// leader writes through, so recovery, the shadow state, the directory
+// lock and compaction are the engine's and this package does no file
+// I/O), and hands them to an Applier (the rvm replay path) — so a
+// caught-up follower answers queries exactly like its leader and serves
+// as a read-only Peer in a Federation.
 //
 // The shipping format IS the WAL format: a batch's Frames field is a
 // byte-concatenation of the leader's checksummed
 // [len][crc32c][uvarint-LSN + record] frames, decoded with
 // store.ReplayBytes. When the leader has compacted history the follower
 // needs (a snapshot deleted the WAL below the follower's applied LSN),
-// Ship falls back to a full-state transfer in the snapshot file format.
-// See docs/REPLICATION.md.
+// Ship falls back to a full-state transfer in the snapshot file format,
+// which the follower's engine installs. See docs/REPLICATION.md.
 package repl
 
 import (

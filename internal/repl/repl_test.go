@@ -58,7 +58,17 @@ func seedLeader(t *testing.T, st *store.Store, n, base int) {
 	}
 }
 
-func openTestFollower(t *testing.T, dir string, opts FollowerOptions) (*Follower, FollowerRecovery) {
+// OpenFollower opens a WAL-backend engine on dir and puts a follower on
+// it: what idm.OpenReplica does, minus the rvm replay target.
+func OpenFollower(dir string, opts FollowerOptions) (*Follower, store.RecoveryInfo, error) {
+	eng, info, err := store.Open(dir, store.Options{})
+	if err != nil {
+		return nil, info, err
+	}
+	return NewFollower(eng, opts), info, nil
+}
+
+func openTestFollower(t *testing.T, dir string, opts FollowerOptions) (*Follower, store.RecoveryInfo) {
 	t.Helper()
 	f, info, err := OpenFollower(dir, opts)
 	if err != nil {
@@ -180,8 +190,8 @@ func TestFollowerRestartResumes(t *testing.T) {
 	// Reopen: the local WAL replays to the same position, and pulling
 	// resumes from there rather than from zero.
 	f2, info := openTestFollower(t, dir, FollowerOptions{})
-	if info.AppliedLSN != mid {
-		t.Fatalf("recovered applied %d, want %d", info.AppliedLSN, mid)
+	if f2.AppliedLSN() != mid {
+		t.Fatalf("recovered applied %d, want %d", f2.AppliedLSN(), mid)
 	}
 	if info.WALRecords == 0 {
 		t.Fatal("recovery replayed no local WAL records")
@@ -201,7 +211,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	catchUp(t, f3, leader)
 	f3.Close()
 	f4, info4 := openTestFollower(t, dir3, FollowerOptions{})
-	if info4.SnapshotLSN == 0 {
+	if info4.SnapshotSeq == 0 {
 		t.Fatal("no state image recovered after snapshot install")
 	}
 	if f4.Digest() != st.Digest() {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -159,9 +158,9 @@ func OpenCompact(dir string, opts Options) (*CompactStore, store.RecoveryInfo, e
 		for _, rec := range recs {
 			c.state.Apply(rec)
 		}
-		if watermark >= c.nextLSN {
-			c.nextLSN = watermark + 1
-		}
+		// Resume AT the watermark, not past it: a replica that applied
+		// everything below it must not be told the log moved.
+		c.nextLSN = max(c.nextLSN, watermark)
 		c.baseLSN = watermark
 		c.snapSeq = watermark
 	} else if !os.IsNotExist(err) {
@@ -193,11 +192,13 @@ func OpenCompact(dir string, opts Options) (*CompactStore, store.RecoveryInfo, e
 				"segment", name, "watermark", watermark, "meta_watermark", c.baseLSN)
 			continue
 		}
+		// A watermark above meta.seg's marks a compaction or install that
+		// died before its commit point. It does not move the position:
+		// the tail still ends where the log did, so an interrupted
+		// install leaves its follower below the leader's base and the
+		// image is shipped again.
 		for _, rec := range recs {
 			c.state.Apply(rec)
-		}
-		if watermark >= c.nextLSN {
-			c.nextLSN = watermark + 1
 		}
 		segCount++
 	}
@@ -283,67 +284,64 @@ func (c *CompactStore) crash(cause error) error {
 	return c.dead
 }
 
-// Append logs one record to the tail, applies it to the shadow state
-// and fsyncs according to the policy — write-ahead order. The source
-// routes nothing here: every record lands in the single tail.
+// Append logs one record to the tail at the next LSN, applies it to the
+// shadow state and fsyncs according to the policy — write-ahead order.
+// The source routes nothing here: every record lands in the single tail.
 func (c *CompactStore) Append(_ string, rec store.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.appendLocked(c.nextLSN, rec)
+}
+
+// AppendAt is Append at a caller-assigned LSN — how a replication
+// follower logs a shipped record at the position its leader gave it.
+// Gaps are legal; an LSN below NextLSN() is refused and leaves the
+// engine untouched and alive.
+func (c *CompactStore) AppendAt(_ string, lsn uint64, rec store.Record) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.appendLocked(lsn, rec)
+}
+
+func (c *CompactStore) appendLocked(lsn uint64, rec store.Record) error {
 	if c.dead != nil {
 		return c.dead
 	}
-	return c.appendLocked(rec)
-}
-
-func (c *CompactStore) appendLocked(rec store.Record) error {
-	lsn := c.nextLSN
+	if lsn < c.nextLSN {
+		return fmt.Errorf("storage: append at LSN %d, next LSN is %d", lsn, c.nextLSN)
+	}
 	frame, err := store.AppendFrame(nil, lsn, rec)
 	if err != nil {
 		return err
 	}
-	if err := c.opts.Faults.Fail(store.FaultAppend); err != nil {
-		return c.crash(err)
-	}
-	if err := c.opts.Faults.Fail(store.FaultTorn); err != nil {
-		// Simulate a crash mid-write: half the frame reaches the disk.
-		c.tail.Write(frame[:len(frame)/2])
-		c.tail.Sync()
-		return c.crash(err)
-	}
-	if _, err := c.tail.Write(frame); err != nil {
+	synced, err := store.WriteFrame(c.tail, c.state, frame, c.opts.Sync, c.opts.Faults)
+	if err != nil {
 		return c.crash(err)
 	}
 	c.nextLSN = lsn + 1
 	c.met.appends.Inc()
 	c.met.appendBytes.Add(int64(len(frame)))
-
-	// Keep the shadow state exactly equal to what a replay of the bytes
-	// just written would produce: apply the decoded payload, not the
-	// caller's record (roundtripping normalizes times and nil slices).
-	// A frame the store itself just encoded must decode; continuing past
-	// a failure would let the shadow state silently diverge from what
-	// recovery reconstructs, so it is fatal.
-	payload := frame[8:]
-	_, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return c.crash(fmt.Errorf("storage: re-decoding appended frame: bad LSN varint"))
-	}
-	decoded, derr := store.DecodeRecord(payload[n:])
-	if derr != nil {
-		return c.crash(fmt.Errorf("storage: re-decoding appended frame: %w", derr))
-	}
-	c.state.Apply(decoded)
-
-	commit := rec.Kind == store.KindEdges || rec.Kind == store.KindDropSource || rec.Kind == store.KindMeta
-	if c.opts.Sync == store.SyncAlways || (c.opts.Sync == store.SyncOnCommit && commit) {
-		if err := c.opts.Faults.Fail(store.FaultFsync); err != nil {
-			return c.crash(err)
-		}
-		if err := c.tail.Sync(); err != nil {
-			return c.crash(err)
-		}
+	if synced {
 		c.met.fsyncs.Inc()
 	}
+	return nil
+}
+
+// Flush fsyncs the tail (a no-op under SyncNever): a follower calls it
+// once per shipped batch, whatever record the batch ended on.
+func (c *CompactStore) Flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead != nil {
+		return c.dead
+	}
+	if c.opts.Sync == store.SyncNever {
+		return nil
+	}
+	if err := c.tail.Sync(); err != nil {
+		return c.crash(err)
+	}
+	c.met.fsyncs.Inc()
 	return nil
 }
 
@@ -355,19 +353,16 @@ func (c *CompactStore) appendLocked(rec store.Record) error {
 func (c *CompactStore) DropSource(source string, nextOID catalog.OID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dead != nil {
-		return c.dead
-	}
-	if err := c.appendLocked(store.Record{Kind: store.KindDropSource, Source: source}); err != nil {
+	if err := c.appendLocked(c.nextLSN, store.Record{Kind: store.KindDropSource, Source: source}); err != nil {
 		return err
 	}
-	if err := c.appendLocked(store.Record{Kind: store.KindMeta, NextOID: nextOID}); err != nil {
+	if err := c.appendLocked(c.nextLSN, store.Record{Kind: store.KindMeta, NextOID: nextOID}); err != nil {
 		return err
 	}
 	if err := os.Remove(filepath.Join(c.segDir, segmentFileName(source))); err != nil && !os.IsNotExist(err) {
 		return c.crash(err)
 	}
-	if err := syncDir(c.segDir); err != nil {
+	if err := store.SyncDir(c.segDir); err != nil {
 		return c.crash(err)
 	}
 	return nil
@@ -388,23 +383,46 @@ func (c *CompactStore) HasSegment(source string) bool {
 // replaying sub-watermark tail records is skipped on recovery, so a
 // completed meta.seg write is the commit point.
 func (c *CompactStore) Snapshot() error {
-	start := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.compactLocked(c.state, c.nextLSN)
+}
+
+// Install replaces the durable state with a full-state image that
+// resumes at nextLSN — a follower's fallback when its leader compacted
+// the history it needed. It is Snapshot with the image in place of the
+// shadow state. An image below NextLSN() would move the log backwards
+// and is refused. A crash between the first rewritten segment and the
+// meta.seg commit point recovers a mix of old and new sources at the
+// OLD position, which is below the leader's base, so the next pull
+// installs the image again. The engine owns st afterwards.
+func (c *CompactStore) Install(st *store.State, nextLSN uint64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.compactLocked(st, nextLSN)
+}
+
+// compactLocked makes st the durable state at watermark: segments, then
+// meta.seg, then the tail truncate; st becomes the shadow state once all
+// of it is on disk.
+func (c *CompactStore) compactLocked(st *store.State, watermark uint64) error {
+	start := time.Now()
 	if c.dead != nil {
 		return c.dead
+	}
+	if watermark < c.nextLSN {
+		return fmt.Errorf("storage: install image at LSN %d, next LSN is %d", watermark, c.nextLSN)
 	}
 	if err := c.opts.Faults.Fail(store.FaultSnapshot); err != nil {
 		return c.crash(err)
 	}
-	watermark := c.nextLSN
 
 	// Live sources: everything the shadow state mentions.
 	live := make(map[string]bool)
-	for _, v := range c.state.Views {
+	for _, v := range st.Views {
 		live[v.Entry.Source] = true
 	}
-	for src := range c.state.Edges {
+	for src := range st.Edges {
 		live[src] = true
 	}
 	srcs := make([]string, 0, len(live))
@@ -414,7 +432,7 @@ func (c *CompactStore) Snapshot() error {
 	sort.Strings(srcs)
 
 	for _, src := range srcs {
-		img, err := encodeSegment(sourceSegmentRecords(c.state, src), watermark)
+		img, err := encodeSegment(sourceSegmentRecords(st, src), watermark)
 		if err != nil {
 			return err
 		}
@@ -442,11 +460,11 @@ func (c *CompactStore) Snapshot() error {
 	// Make the segment renames and removals durable before meta.seg can
 	// land: on power loss, new meta over old segments would lose every
 	// record between the two watermarks.
-	if err := syncDir(c.segDir); err != nil {
+	if err := store.SyncDir(c.segDir); err != nil {
 		return c.crash(err)
 	}
 
-	metaImg, err := encodeSegment([]store.Record{{Kind: store.KindMeta, NextOID: c.state.NextOID}}, watermark)
+	metaImg, err := encodeSegment([]store.Record{{Kind: store.KindMeta, NextOID: st.NextOID}}, watermark)
 	if err != nil {
 		return err
 	}
@@ -458,7 +476,7 @@ func (c *CompactStore) Snapshot() error {
 	// ... and the commit point must be durable before the tail goes:
 	// recovery may skip sub-watermark tail records only because meta.seg
 	// promises the segments cover them.
-	if err := syncDir(c.segDir); err != nil {
+	if err := store.SyncDir(c.segDir); err != nil {
 		return c.crash(err)
 	}
 
@@ -471,16 +489,17 @@ func (c *CompactStore) Snapshot() error {
 		return c.crash(err)
 	}
 	c.tail = f
-	if err := syncDir(c.segDir); err != nil {
+	if err := store.SyncDir(c.segDir); err != nil {
 		return c.crash(err)
 	}
 
+	c.state, c.nextLSN = st, watermark
 	c.baseLSN = watermark
 	c.snapSeq = watermark
 	c.met.compactions.Inc()
 	c.met.compactNs.ObserveSince(start)
 	obs.Logger("storage/compact").Debug("compacted", "watermark", watermark,
-		"sources", len(srcs), "views", len(c.state.Views), "elapsed", time.Since(start))
+		"sources", len(srcs), "views", len(st.Views), "elapsed", time.Since(start))
 	return nil
 }
 

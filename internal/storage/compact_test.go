@@ -278,3 +278,56 @@ func TestCompactStaleTailSkipped(t *testing.T) {
 		t.Fatalf("stale Meta rolled the OID counter back to %d", eng2.State().NextOID)
 	}
 }
+
+// TestCompactInterruptedInstallKeepsOldPosition pins the one install
+// crash window that is not all-or-nothing on this backend: segments are
+// rewritten in place before meta.seg commits, so a crash between the two
+// recovers new-image sources next to the old meta.seg and tail. That mix
+// must come back at the OLD position — below the leader's base, so the
+// follower is shipped the image again — never at the image's.
+func TestCompactInterruptedInstallKeepsOldPosition(t *testing.T) {
+	dir := t.TempDir()
+	eng, _ := mustOpenB(t, BackendCompact, dir, Options{})
+	appendAll(t, eng, workload()[:5])
+	if err := eng.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, eng, workload()[5:])
+	oldNext := eng.NextLSN()
+	pre := map[string][]byte{metaSegmentFile: nil, tailFile: nil}
+	for name := range pre {
+		b, err := os.ReadFile(filepath.Join(dir, "compact", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre[name] = b
+	}
+
+	img := store.NewState()
+	img.Apply(upsert(1, "fs", "/rewritten"))
+	img.Apply(store.Record{Kind: store.KindMeta, NextOID: 99})
+	if err := eng.Install(img, 500); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	// Undo the commit point and the tail truncate: what a crash just
+	// before meta.seg leaves.
+	for name, b := range pre {
+		if err := os.WriteFile(filepath.Join(dir, "compact", name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eng2, _ := mustOpenB(t, BackendCompact, dir, Options{})
+	defer eng2.Close()
+	if got := eng2.NextLSN(); got != oldNext {
+		t.Fatalf("half-installed directory recovered at NextLSN %d, want the pre-install %d", got, oldNext)
+	}
+	// The image is still acceptable, and installing it heals the mix.
+	if err := eng2.Install(img.Clone(), 500); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng2.Digest(), img.Digest(); got != want {
+		t.Fatalf("re-install digest %s != image %s", got, want)
+	}
+}

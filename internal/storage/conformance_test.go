@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -321,6 +323,207 @@ func TestConformanceDropSource(t *testing.T) {
 			defer eng2.Close()
 			if got := eng2.Digest(); got != want {
 				t.Fatalf("recovered digest %s != %s after drop", got, want)
+			}
+		})
+	}
+}
+
+// TestConformanceNextLSNStableAcrossCompaction pins the resume position:
+// a compaction followed by a restart must not move NextLSN — a skipped
+// LSN reads to a caught-up replica as a leader write it never receives.
+func TestConformanceNextLSNStableAcrossCompaction(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			eng, _ := mustOpenB(t, b, dir, Options{})
+			appendAll(t, eng, workload())
+			want := eng.NextLSN()
+			if err := eng.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.NextLSN(); got != want {
+				t.Fatalf("Snapshot moved NextLSN %d -> %d", want, got)
+			}
+			eng.Close()
+			eng2, _ := mustOpenB(t, b, dir, Options{})
+			defer eng2.Close()
+			if got := eng2.NextLSN(); got != want {
+				t.Fatalf("Snapshot + Close + Open moved NextLSN %d -> %d", want, got)
+			}
+		})
+	}
+}
+
+// tailLSNs returns the LSNs TailSince(0) serves.
+func tailLSNs(t *testing.T, eng Engine) []uint64 {
+	t.Helper()
+	tail, _, ok, err := eng.TailSince(0)
+	if err != nil || !ok {
+		t.Fatalf("TailSince(0): ok=%v err=%v", ok, err)
+	}
+	var lsns []uint64
+	for _, tr := range tail {
+		lsns = append(lsns, tr.LSN)
+	}
+	return lsns
+}
+
+// TestConformanceAppendAt pins append-at-LSN, the follower's write: the
+// record lands at the LSN it was shipped with, gaps included, and an LSN
+// below NextLSN() is refused without hurting the engine.
+func TestConformanceAppendAt(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			eng, _ := mustOpenB(t, b, dir, Options{})
+			recs := workload()
+			shipped := []uint64{1, 2, 5, 6, 9, 10, 11, 40, 41} // gaps are legal
+			for i, rec := range recs {
+				if err := eng.AppendAt("", shipped[i], rec); err != nil {
+					t.Fatalf("AppendAt(%d): %v", shipped[i], err)
+				}
+			}
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.NextLSN(); got != 42 {
+				t.Fatalf("NextLSN %d after appending at 41, want 42", got)
+			}
+			if got, want := eng.Digest(), referenceDigest(t, b, len(recs)); got != want {
+				t.Fatalf("digest after AppendAt %s != Append reference %s", got, want)
+			}
+			for _, low := range []uint64{41, 7, 0} {
+				if err := eng.AppendAt("", low, upsert(50, "fs", "/low")); err == nil {
+					t.Fatalf("AppendAt(%d) below NextLSN 42 succeeded", low)
+				} else if errors.Is(err, store.ErrCrashed) {
+					t.Fatalf("refused AppendAt(%d) crashed the engine: %v", low, err)
+				}
+			}
+			// Still alive, still at 42, and Append is AppendAt there.
+			if err := eng.Append("fs", upsert(51, "fs", "/next")); err != nil {
+				t.Fatalf("engine dead after a refused AppendAt: %v", err)
+			}
+			shipped = append(shipped, 42)
+			if got := tailLSNs(t, eng); fmt.Sprint(got) != fmt.Sprint(shipped) {
+				t.Fatalf("tail LSNs %v, want %v", got, shipped)
+			}
+			want := eng.Digest()
+			eng.Close()
+
+			eng2, info := mustOpenB(t, b, dir, Options{})
+			defer eng2.Close()
+			if len(info.Warnings) != 0 {
+				t.Fatalf("clean recovery produced warnings: %v", info.Warnings)
+			}
+			if got := eng2.Digest(); got != want {
+				t.Fatalf("recovered digest %s != %s", got, want)
+			}
+			if got := eng2.NextLSN(); got != 43 {
+				t.Fatalf("recovered NextLSN %d, want 43", got)
+			}
+			if got := tailLSNs(t, eng2); fmt.Sprint(got) != fmt.Sprint(shipped) {
+				t.Fatalf("recovered tail LSNs %v, want %v", got, shipped)
+			}
+		})
+	}
+}
+
+// logFiles reads every append-log file (*.wal) under dir, keyed by path.
+func logFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".wal") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestConformanceInstall pins install-image, the follower's full-state
+// fallback: the image and its position replace whatever the engine held
+// and survive a reopen; a crash before the commit point, or log files a
+// crash after it failed to delete, change nothing; an image below
+// NextLSN() is refused.
+func TestConformanceInstall(t *testing.T) {
+	// The image: a leader's state after the full workload, resuming at 30.
+	image := func(t *testing.T, b Backend) (*store.State, string) {
+		ref, _ := mustOpenB(t, b, t.TempDir(), Options{})
+		defer ref.Close()
+		appendAll(t, ref, workload())
+		st, _ := ref.CloneState()
+		return st, st.Digest()
+	}
+	// What the follower held before: an unrelated, older history.
+	old := []store.Record{upsert(1, "fs", "/a"), upsert(7, "old", "/gone"), edges("old", 7)}
+
+	for _, b := range backends {
+		t.Run(b.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			eng, _ := mustOpenB(t, b, dir, Options{})
+			appendAll(t, eng, old)
+			stale := logFiles(t, dir)
+			st, want := image(t, b)
+			if err := eng.Install(st, 30); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Digest(); got != want {
+				t.Fatalf("digest after install %s != image %s", got, want)
+			}
+			if eng.NextLSN() != 30 || eng.BaseLSN() != 30 {
+				t.Fatalf("after install next=%d base=%d, want 30/30", eng.NextLSN(), eng.BaseLSN())
+			}
+			if err := eng.Install(st.Clone(), 29); err == nil {
+				t.Fatal("image below NextLSN installed")
+			} else if errors.Is(err, store.ErrCrashed) {
+				t.Fatalf("refused install crashed the engine: %v", err)
+			}
+			eng.Close()
+
+			// A crash after the commit point can leave the pre-install log
+			// behind; recovery must not replay it over the image.
+			for path, img := range stale {
+				if err := os.WriteFile(path, img, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng2, _ := mustOpenB(t, b, dir, Options{})
+			if got := eng2.Digest(); got != want {
+				t.Fatalf("recovered digest %s != image %s", got, want)
+			}
+			if eng2.NextLSN() != 30 {
+				t.Fatalf("recovered NextLSN %d, want 30", eng2.NextLSN())
+			}
+			// Shipping resumes at the image's position.
+			if err := eng2.AppendAt("", 30, upsert(12, "fs", "/after")); err != nil {
+				t.Fatal(err)
+			}
+			eng2.Close()
+		})
+		t.Run(b.String()+"/crash", func(t *testing.T) {
+			dir := t.TempDir()
+			inj := fault.New(1)
+			inj.Add(fault.Rule{Point: store.FaultSnapshot, Kind: fault.Error, Times: 1})
+			eng, _ := mustOpenB(t, b, dir, Options{Faults: inj})
+			appendAll(t, eng, old)
+			want, next := eng.Digest(), eng.NextLSN()
+			st, _ := image(t, b)
+			if err := eng.Install(st, 30); !errors.Is(err, store.ErrCrashed) {
+				t.Fatalf("install crash surfaced %v, want ErrCrashed", err)
+			}
+			eng2, _ := mustOpenB(t, b, dir, Options{})
+			defer eng2.Close()
+			if got := eng2.Digest(); got != want {
+				t.Fatalf("crashed install recovered %s, want the pre-install %s", got, want)
+			}
+			if eng2.NextLSN() != next {
+				t.Fatalf("crashed install recovered NextLSN %d, want %d", eng2.NextLSN(), next)
 			}
 		})
 	}

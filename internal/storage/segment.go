@@ -157,17 +157,3 @@ func writeFileAtomic(path string, b []byte) error {
 	}
 	return nil
 }
-
-// syncDir fsyncs a directory, making the renames and unlinks inside it
-// durable against power loss. The compaction path crashes the engine on
-// failure: its crash-ordering argument (segments, then stale-segment
-// removal, then meta.seg, then the tail truncate) only holds if each
-// batch of directory operations reaches disk before the next begins.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}

@@ -1,9 +1,10 @@
 // Package storage is the pluggable storage-engine seam between the
 // Resource View Manager and the durability layer. It defines the Engine
-// interface every backend satisfies — the append/tail/snapshot/drop/
-// digest contract the RVM persist path, the facade and the replication
-// leader are written against — and a factory that selects a backend for
-// a data directory.
+// interface every backend satisfies — the append/tail/snapshot/install/
+// drop/digest contract the RVM persist path, the facade and both ends of
+// replication (the leader ships from an engine, the follower logs into
+// one) are written against — and a factory that selects a backend for a
+// data directory.
 //
 // Two backends ship today:
 //
@@ -17,9 +18,10 @@
 //     index build directly.
 //
 // Both backends share the record, frame and snapshot formats of
-// internal/store, the fault-injection points (the crash matrix runs
-// unchanged against either), the exclusive data-dir lock, and the
-// replication tail surface (internal/repl ships from either). The
+// internal/store, its one frame-append sequence (store.WriteFrame), the
+// fault-injection points (the crash matrix runs unchanged against
+// either), the exclusive data-dir lock, and the replication surfaces
+// (internal/repl ships from either and follows into either). The
 // conformance suite (conformance_test.go) pins the shared semantics.
 // See docs/PERSISTENCE.md.
 package storage
@@ -97,8 +99,21 @@ type Engine interface {
 	// Append logs one record for source (source "" targets the engine's
 	// meta stream), applies it to the shadow state, and fsyncs according
 	// to the policy — write-ahead order: the record is durable before
-	// the caller touches any in-memory replica.
+	// the caller touches any in-memory replica. It is AppendAt at
+	// NextLSN().
 	Append(source string, rec store.Record) error
+	// AppendAt is Append at a caller-assigned LSN: a replication follower
+	// logs each shipped record at the LSN its leader gave it. Gaps are
+	// legal; an LSN below NextLSN() is refused with the engine untouched.
+	AppendAt(source string, lsn uint64, rec store.Record) error
+	// Flush fsyncs everything appended so far (a no-op under SyncNever);
+	// a follower calls it once per shipped batch.
+	Flush() error
+	// Install replaces the durable state with the full-state image st
+	// resuming at nextLSN, through the Snapshot code path (a follower's
+	// fallback when its leader compacted the history it needed). An
+	// image below NextLSN() is refused. The engine owns st afterwards.
+	Install(st *store.State, nextLSN uint64) error
 	// DropSource durably removes a source: the drop (plus a Meta record
 	// pinning the OID counter) is committed so the source's views never
 	// resurrect, and its per-source storage is deleted.

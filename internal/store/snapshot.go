@@ -113,7 +113,7 @@ func writeSnapshotFile(dir string, seq uint64, img []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
 // listSnapshots returns the snapshot sequence numbers present in dir,
@@ -139,13 +139,15 @@ func listSnapshots(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, making the renames and unlinks inside it
+// durable against power loss. Both engines crash on failure wherever
+// their crash-ordering argument needs one batch of directory operations
+// on disk before the next begins.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	// Directory fsync is advisory on some platforms; ignore its error.
-	d.Sync()
-	return nil
+	return d.Sync()
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -206,9 +205,9 @@ func Open(dir string, opts Options) (*Store, RecoveryInfo, error) {
 			continue
 		}
 		s.state = st
-		if nextLSN >= s.nextLSN {
-			s.nextLSN = nextLSN + 1
-		}
+		// Resume AT the image's next LSN, not past it: a replica that
+		// applied everything below it must not be told the log moved.
+		s.nextLSN = max(s.nextLSN, nextLSN)
 		s.baseLSN = nextLSN
 		info.SnapshotSeq = seqs[i]
 		info.SnapshotViews = len(st.Views)
@@ -253,6 +252,11 @@ func Open(dir string, opts Options) (*Store, RecoveryInfo, error) {
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
+	// Records below the snapshot's LSN are leftovers of a compaction that
+	// died before deleting them. The image already covers them — and
+	// after an interrupted Install they are a stale prefix of another
+	// history, which must not be replayed over it.
+	all = all[sort.Search(len(all), func(i int) bool { return all[i].lsn >= s.baseLSN }):]
 	for _, wr := range all {
 		if err := opts.Faults.Fail(FaultReplay); err != nil {
 			// A crash during recovery replay: the directory is untouched
@@ -331,59 +335,66 @@ func (s *Store) crash(cause error) error {
 }
 
 // Append logs one record for source (source "" targets the meta
-// segment), applies it to the shadow state and fsyncs according to the
-// policy. The record is durable (up to the fsync policy) before the
-// caller applies it to any in-memory replica — write-ahead order.
+// segment) at the next LSN, applies it to the shadow state and fsyncs
+// according to the policy. The record is durable (up to the fsync
+// policy) before the caller applies it to any in-memory replica —
+// write-ahead order.
 func (s *Store) Append(source string, rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.appendLocked(source, s.nextLSN, rec)
+}
+
+// AppendAt is Append at a caller-assigned LSN — how a replication
+// follower logs a shipped record at the position its leader gave it.
+// Gaps are legal (the leader's DropSource leaves them); an LSN below
+// NextLSN() is refused and leaves the store untouched and alive.
+func (s *Store) AppendAt(source string, lsn uint64, rec Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(source, lsn, rec)
+}
+
+func (s *Store) appendLocked(source string, lsn uint64, rec Record) error {
 	if s.dead != nil {
 		return s.dead
 	}
-	return s.appendLocked(source, rec)
-}
-
-func (s *Store) appendLocked(source string, rec Record) error {
-	f, err := s.segment(source)
-	if err != nil {
-		return s.crash(err)
+	if lsn < s.nextLSN {
+		return fmt.Errorf("store: append at LSN %d, next LSN is %d", lsn, s.nextLSN)
 	}
-	lsn := s.nextLSN
 	frame, err := encodeFrame(nil, lsn, rec)
 	if err != nil {
 		return err
 	}
-	if err := s.opts.Faults.Fail(FaultAppend); err != nil {
+	f, err := s.segment(source)
+	if err != nil {
 		return s.crash(err)
 	}
-	if err := s.opts.Faults.Fail(FaultTorn); err != nil {
-		// Simulate a crash mid-write: half the frame reaches the disk.
-		f.Write(frame[:len(frame)/2])
-		f.Sync()
-		return s.crash(err)
-	}
-	if _, err := f.Write(frame); err != nil {
+	synced, err := WriteFrame(f, s.state, frame, s.opts.Sync, s.opts.Faults)
+	if err != nil {
 		return s.crash(err)
 	}
 	s.nextLSN = lsn + 1
 	s.met.appends.Inc()
 	s.met.appendBytes.Add(int64(len(frame)))
-
-	// Keep the shadow state exactly equal to what a replay of the bytes
-	// just written would produce: apply the decoded payload, not the
-	// caller's record (roundtripping normalizes times and nil slices).
-	payload := frame[frameHeaderLen:]
-	if _, n := binary.Uvarint(payload); n > 0 {
-		if decoded, derr := DecodeRecord(payload[n:]); derr == nil {
-			s.state.Apply(decoded)
-		}
+	if synced {
+		s.met.fsyncs.Inc()
 	}
+	return nil
+}
 
-	commit := rec.Kind == KindEdges || rec.Kind == KindDropSource || rec.Kind == KindMeta
-	if s.opts.Sync == SyncAlways || (s.opts.Sync == SyncOnCommit && commit) {
-		if err := s.opts.Faults.Fail(FaultFsync); err != nil {
-			return s.crash(err)
-		}
+// Flush fsyncs every open segment (a no-op under SyncNever): a follower
+// calls it once per shipped batch, whatever record the batch ended on.
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dead != nil {
+		return s.dead
+	}
+	if s.opts.Sync == SyncNever {
+		return nil
+	}
+	for _, f := range s.segments {
 		if err := f.Sync(); err != nil {
 			return s.crash(err)
 		}
@@ -400,13 +411,10 @@ func (s *Store) appendLocked(source string, rec Record) error {
 func (s *Store) DropSource(source string, nextOID catalog.OID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead != nil {
-		return s.dead
-	}
-	if err := s.appendLocked("", Record{Kind: KindDropSource, Source: source}); err != nil {
+	if err := s.appendLocked("", s.nextLSN, Record{Kind: KindDropSource, Source: source}); err != nil {
 		return err
 	}
-	if err := s.appendLocked("", Record{Kind: KindMeta, NextOID: nextOID}); err != nil {
+	if err := s.appendLocked("", s.nextLSN, Record{Kind: KindMeta, NextOID: nextOID}); err != nil {
 		return err
 	}
 	name := segmentName(source)
@@ -417,7 +425,10 @@ func (s *Store) DropSource(source string, nextOID catalog.OID) error {
 	if err := os.Remove(filepath.Join(s.walDir, name)); err != nil && !os.IsNotExist(err) {
 		return s.crash(err)
 	}
-	return syncDir(s.walDir)
+	if err := SyncDir(s.walDir); err != nil {
+		return s.crash(err)
+	}
+	return nil
 }
 
 // HasSegment reports whether a WAL segment file exists for source (test
@@ -430,20 +441,41 @@ func (s *Store) HasSegment(source string) bool {
 // Snapshot compacts the durable state: the shadow state is written as a
 // new snapshot (atomic tmp+rename), then every WAL segment and every
 // older snapshot is deleted. A crash at any point leaves a recoverable
-// directory — replaying pre-snapshot records over the snapshot is
-// idempotent because upserts carry full view state and edge commits are
-// full replacements.
+// directory — the snapshot file is the commit point, and recovery skips
+// whatever WAL records below its LSN a crash left behind.
 func (s *Store) Snapshot() error {
-	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.compactLocked(s.state, s.nextLSN)
+}
+
+// Install replaces the durable state with a full-state image that
+// resumes at nextLSN — a follower's fallback when its leader compacted
+// the history it needed. It is Snapshot with the image in place of the
+// shadow state: same commit point, same crash windows (a crash before
+// it recovers the pre-install state). An image below NextLSN() would
+// move the log backwards and is refused. The store owns st afterwards.
+func (s *Store) Install(st *State, nextLSN uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compactLocked(st, nextLSN)
+}
+
+// compactLocked makes st (resuming at nextLSN) the durable state: it
+// becomes the newest snapshot and, once that is on disk, the shadow
+// state; the WAL below it is deleted.
+func (s *Store) compactLocked(st *State, nextLSN uint64) error {
+	start := time.Now()
 	if s.dead != nil {
 		return s.dead
+	}
+	if nextLSN < s.nextLSN {
+		return fmt.Errorf("store: install image at LSN %d, next LSN is %d", nextLSN, s.nextLSN)
 	}
 	if err := s.opts.Faults.Fail(FaultSnapshot); err != nil {
 		return s.crash(err)
 	}
-	img, err := encodeSnapshot(s.state, s.nextLSN)
+	img, err := encodeSnapshot(st, nextLSN)
 	if err != nil {
 		return err
 	}
@@ -452,9 +484,10 @@ func (s *Store) Snapshot() error {
 		return s.crash(err)
 	}
 	s.snapSeq = seq
+	s.state, s.nextLSN = st, nextLSN
 	// Records below nextLSN are now only recoverable from the snapshot;
 	// tailing from an older LSN requires a full-state transfer.
-	s.baseLSN = s.nextLSN
+	s.baseLSN = nextLSN
 	// The snapshot is durable: the WAL segments are now redundant.
 	for name, f := range s.segments {
 		f.Close()
@@ -477,11 +510,11 @@ func (s *Store) Snapshot() error {
 			}
 		}
 	}
-	syncDir(s.dir)
+	SyncDir(s.dir)
 	s.met.snapshots.Inc()
 	s.met.snapshotNs.ObserveSince(start)
 	obs.Logger("store").Debug("snapshot written", "seq", seq,
-		"views", len(s.state.Views), "bytes", len(img), "elapsed", time.Since(start))
+		"views", len(st.Views), "bytes", len(img), "elapsed", time.Since(start))
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+
+	"repro/internal/fault"
 )
 
 // Frame layout: [len uint32le][crc32c uint32le][payload], where payload
@@ -39,6 +41,55 @@ func encodeFrame(b []byte, lsn uint64, rec Record) ([]byte, error) {
 // is the WAL format, so followers decode batches with ReplayBytes.
 func AppendFrame(b []byte, lsn uint64, rec Record) ([]byte, error) {
 	return encodeFrame(b, lsn, rec)
+}
+
+// WriteFrame is the one append sequence both engines run on an encoded
+// frame: consult FaultAppend and FaultTorn (which leaves half the frame
+// on disk), write the frame to f, fold the re-decoded payload into st,
+// and fsync by policy — at commit records (Edges, DropSource, Meta) under
+// SyncOnCommit. It reports whether it fsynced. Every error is fatal to
+// the calling engine: f may end in a torn frame, or st may no longer be
+// what a replay of f reconstructs.
+func WriteFrame(f *os.File, st *State, frame []byte, policy SyncPolicy, faults *fault.Injector) (synced bool, err error) {
+	if err := faults.Fail(FaultAppend); err != nil {
+		return false, err
+	}
+	if err := faults.Fail(FaultTorn); err != nil {
+		// Simulate a crash mid-write: half the frame reaches the disk.
+		f.Write(frame[:len(frame)/2])
+		f.Sync()
+		return false, err
+	}
+	if _, err := f.Write(frame); err != nil {
+		return false, err
+	}
+	// Apply the decoded payload, not the caller's record: roundtripping
+	// normalizes times and nil slices, and the shadow state must equal a
+	// replay of the bytes just written. A frame this package just encoded
+	// must decode; carrying on past a failure would let the two diverge
+	// silently.
+	payload := frame[frameHeaderLen:]
+	_, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return false, fmt.Errorf("store: re-decoding appended frame: bad LSN varint")
+	}
+	rec, err := DecodeRecord(payload[n:])
+	if err != nil {
+		return false, fmt.Errorf("store: re-decoding appended frame: %w", err)
+	}
+	st.Apply(rec)
+
+	commit := rec.Kind == KindEdges || rec.Kind == KindDropSource || rec.Kind == KindMeta
+	if policy == SyncAlways || (policy == SyncOnCommit && commit) {
+		if err := faults.Fail(FaultFsync); err != nil {
+			return false, err
+		}
+		if err := f.Sync(); err != nil {
+			return false, err
+		}
+		synced = true
+	}
+	return synced, nil
 }
 
 // walRecord is one decoded WAL record with its log sequence number.

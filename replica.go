@@ -5,19 +5,21 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/repl"
+	"repro/internal/rvm"
 	"repro/internal/store"
 )
 
 // This file is the facade over internal/repl: WAL-shipping read
 // replicas — the first rung of the "networks of P2P iMeMex instances"
 // the paper's conclusion plans. A durable System acts as leader
-// (ReplicationLeader); a Replica tails its WAL over a Transport,
-// replays every record through the rvm apply path, and serves read-only
-// queries — including as a lag-aware Peer in a Federation. See
-// docs/REPLICATION.md.
+// (ReplicationLeader); a Replica is a durable System too — same storage
+// engine, same recovery, an ordinary data directory — whose log is fed
+// by a repl.Follower with the leader's records instead of by local
+// sources. It replays every record through the rvm apply path and
+// serves read-only queries — including as a lag-aware Peer in a
+// Federation. See docs/REPLICATION.md.
 
 // Replication type aliases, following the facade's alias pattern.
 type (
@@ -72,39 +74,33 @@ var (
 
 // replicaApplier adapts the follower's record stream to the manager's
 // replay path.
-type replicaApplier struct{ r *Replica }
+type replicaApplier struct{ mgr *rvm.Manager }
 
-func (a replicaApplier) Apply(rec store.Record) error {
-	return a.r.sys.mgr.ApplyRecord(rec)
-}
+func (a replicaApplier) Apply(rec store.Record) error { return a.mgr.ApplyRecord(rec) }
 
 func (a replicaApplier) Reset(st *store.State) error {
-	a.r.sys.mgr.ResetFromState(st)
+	a.mgr.ResetFromState(st)
 	return nil
 }
 
-// OpenReplica opens (creating if needed) a follower directory and
-// builds a read-only System from its recovered state: the shipped
-// records already made durable locally are replayed, the catalog and
-// indexes rebuilt, and the transport attached for subsequent pulls.
-// cfg tunes the replica's query engine exactly like Open's; DataDir is
-// ignored (the follower keeps its own durability under dir).
+// OpenReplica opens (creating if needed) the replica's data directory
+// exactly as OpenDurable would — cfg.Backend and cfg.Fsync select and
+// tune its storage engine, the directory is locked, the shipped records
+// already logged there are recovered and the catalog and indexes rebuilt
+// — and attaches a follower that feeds the engine from t. cfg.DataDir
+// is ignored in favour of dir. After Close the directory opens with
+// OpenDurable like any other.
 func OpenReplica(dir string, t ReplTransport, cfg Config) (*Replica, error) {
-	if t == nil {
-		return nil, fmt.Errorf("idm: replica needs a transport")
+	if dir == "" || t == nil {
+		return nil, fmt.Errorf("idm: replica needs a directory and a transport")
 	}
-	fl, _, err := repl.OpenFollower(dir, repl.FollowerOptions{Faults: cfg.Faults})
+	cfg.DataDir = dir
+	sys, _, err := OpenDurable(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.DataDir = ""
-	state := fl.State()
-	cat := catalog.Rebuild(state.NextOID, state.Entries())
-	sys := open(cfg, cat, nil, nil)
-	sys.mgr.RestoreFromState(state)
-	r := &Replica{sys: sys, fl: fl, t: t}
-	fl.SetApplier(replicaApplier{r: r})
-	return r, nil
+	fl := repl.NewFollower(sys.store, repl.FollowerOptions{Applier: replicaApplier{mgr: sys.mgr}})
+	return &Replica{sys: sys, fl: fl, t: t}, nil
 }
 
 // Pull ships and applies one batch from the leader, returning how many
@@ -212,15 +208,25 @@ func (r *Replica) LeaderLSN() uint64 { return r.fl.LeaderLSN() }
 // position.
 func (r *Replica) Lag() uint64 { return r.fl.Lag() }
 
-// StateDigest returns the digest of the replica's durable shadow state;
-// it equals the leader's StateDigest exactly when fully caught up.
+// StateDigest returns the digest of the replica's durable state (its
+// storage engine's); it equals the leader's StateDigest exactly when
+// fully caught up.
 func (r *Replica) StateDigest() string { return r.fl.Digest() }
+
+// Checkpoint compacts the replica's log like System.Checkpoint does a
+// leader's, so a restart replays only what was shipped since. It takes
+// the write lock: a checkpoint must not interleave with a pull.
+func (r *Replica) Checkpoint() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sys.Checkpoint()
+}
 
 // System exposes the replica's underlying read-only System (metrics,
 // sizes, EXPLAIN); callers must not add sources to it.
 func (r *Replica) System() *System { return r.sys }
 
-// Close closes the replica's local WAL.
+// Close closes the replica's storage engine and unlocks its directory.
 func (r *Replica) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
