@@ -6,12 +6,12 @@ import (
 	idm "repro"
 )
 
-func cacheSystem(t *testing.T, disable bool) (*idm.System, *idm.FS) {
+func cacheSystem(t *testing.T) (*idm.System, *idm.FS) {
 	t.Helper()
 	fs := idm.NewFileSystem()
 	fs.MkdirAll("/d")
 	fs.WriteFile("/d/a.txt", []byte("cachable content"))
-	sys := idm.Open(idm.Config{Now: fixedNow, DisableQueryCache: disable})
+	sys := idm.Open(idm.Config{Now: fixedNow})
 	sys.AddFileSystem("filesystem", fs)
 	if _, err := sys.Index(); err != nil {
 		t.Fatal(err)
@@ -20,7 +20,7 @@ func cacheSystem(t *testing.T, disable bool) (*idm.System, *idm.FS) {
 }
 
 func TestQueryCacheHitsOnRepeat(t *testing.T) {
-	sys, _ := cacheSystem(t, false)
+	sys, _ := cacheSystem(t)
 	for i := 0; i < 3; i++ {
 		res, err := sys.Query(`"cachable content"`)
 		if err != nil || res.Count() != 1 {
@@ -37,7 +37,7 @@ func TestQueryCacheHitsOnRepeat(t *testing.T) {
 }
 
 func TestQueryCacheInvalidatedByChange(t *testing.T) {
-	sys, fs := cacheSystem(t, false)
+	sys, fs := cacheSystem(t)
 	res, _ := sys.Query(`"cachable content"`)
 	if res.Count() != 1 {
 		t.Fatal("setup")
@@ -57,20 +57,11 @@ func TestQueryCacheInvalidatedByChange(t *testing.T) {
 	}
 }
 
-func TestQueryCacheDisabled(t *testing.T) {
-	sys, _ := cacheSystem(t, true)
-	sys.Query(`"cachable content"`)
-	sys.Query(`"cachable content"`)
-	if st := sys.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Size != 0 {
-		t.Errorf("disabled cache has stats %+v", st)
-	}
-}
-
 // TestQueryCacheLatencyStats checks the System-level surface of the
 // latency/age accounting: a miss records its evaluation cost, hits stay
 // far cheaper, and live entries age.
 func TestQueryCacheLatencyStats(t *testing.T) {
-	sys, _ := cacheSystem(t, false)
+	sys, _ := cacheSystem(t)
 	for i := 0; i < 3; i++ {
 		if _, err := sys.Query(`"cachable content"`); err != nil {
 			t.Fatal(err)
@@ -92,7 +83,7 @@ func TestQueryCacheLatencyStats(t *testing.T) {
 }
 
 func TestQueryCacheErrorsNotCached(t *testing.T) {
-	sys, _ := cacheSystem(t, false)
+	sys, _ := cacheSystem(t)
 	if _, err := sys.Query(`//bad[`); err == nil {
 		t.Fatal("bad query accepted")
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	imemex [-scale 0.05] [-seed 42] [-expansion forward|backward|auto] [query...]
+//	imemex [-scale 0.05] [-seed 42] [query...]
 //
 // With query arguments, each is evaluated and printed; without, an
 // interactive read-eval-print loop starts. REPL commands (`:` and `\`
@@ -59,7 +59,6 @@ func main() {
 	dir := flag.String("dir", "", "index a real directory instead of the synthetic dataspace")
 	maxFile := flag.Int64("maxfile", 1<<20, "with -dir: skip files larger than this many bytes")
 	hidden := flag.Bool("hidden", false, "with -dir: include hidden files and directories")
-	expansion := flag.String("expansion", "forward", "path evaluation: forward|backward|auto")
 	limit := flag.Int("limit", 10, "max results to print per query")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/metrics, /debug/queries, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
 	slowQuery := flag.Duration("slow-query", 250*time.Millisecond, "slow-query threshold: queries at or over it retain a full trace in the query log (0 disables)")
@@ -81,13 +80,7 @@ func main() {
 	})
 	flag.Parse()
 
-	exp, err := parseExpansion(*expansion)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	cfg := idm.Config{Expansion: exp, QueryLogSize: *queryLog}
+	cfg := idm.Config{QueryLogSize: *queryLog}
 	if *slowQuery > 0 {
 		cfg.SlowQuery = *slowQuery
 	} else {
@@ -111,6 +104,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "imemex: unknown -fsync policy %q (commit|always|never)\n", *fsync)
 		os.Exit(2)
 	}
+	var err error
 	if cfg.Backend, err = idm.ParseStorageBackend(*backend); err != nil {
 		fmt.Fprintf(os.Stderr, "imemex: %v\n", err)
 		os.Exit(2)
@@ -179,9 +173,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "imemex: -replica-dir requires -data-dir (the replica tails the durable WAL)")
 			os.Exit(2)
 		}
-		rep, err = idm.OpenReplica(*replicaDir, leader, idm.Config{
-			Expansion: exp, Now: cfg.Now, Backend: cfg.Backend, Fsync: cfg.Fsync,
-		})
+		rep, err = idm.OpenReplica(*replicaDir, leader, idm.Config{Now: cfg.Now, Backend: cfg.Backend, Fsync: cfg.Fsync})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -226,19 +218,6 @@ func openDurable(cfg idm.Config) *idm.System {
 // yesterday() interact sensibly with the generated timestamps.
 func evalClock() time.Time {
 	return time.Date(2005, 6, 15, 10, 0, 0, 0, time.UTC)
-}
-
-func parseExpansion(s string) (idm.Expansion, error) {
-	switch strings.ToLower(s) {
-	case "forward":
-		return idm.Forward, nil
-	case "backward":
-		return idm.Backward, nil
-	case "auto":
-		return idm.Auto, nil
-	default:
-		return idm.Forward, fmt.Errorf("imemex: unknown expansion %q", s)
-	}
 }
 
 func runQuery(sys *idm.System, q string, limit int) {

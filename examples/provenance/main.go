@@ -7,26 +7,45 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
+	"os"
 
 	idm "repro"
 )
 
 func main() {
+	// The dataspace is durable, so its catalog, and with it every OID,
+	// survives the restart below.
+	dir, err := os.MkdirTemp("", "idm-provenance-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = run(dir)
+	os.RemoveAll(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(dir string) error {
 	fs := idm.NewFileSystem()
 	fs.MkdirAll("/Projects/PIM")
 	fs.WriteFile("/Projects/PIM/paper.tex",
 		[]byte("\\section{Introduction}\nOn dataspaces, dataspaces and more dataspaces."))
 	fs.WriteFile("/Projects/PIM/notes.txt", []byte("dataspaces once"))
 
-	sys := idm.Open(idm.Config{})
+	cfg := idm.Config{DataDir: dir}
+	sys, _, err := idm.OpenDurable(cfg)
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
 	if err := sys.AddFileSystem("filesystem", fs); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := sys.Index(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// --- Versioning ------------------------------------------------------
@@ -40,7 +59,7 @@ func main() {
 	// (Change notifications also mark the source dirty for Refresh; a
 	// full Index is the deterministic choice for an example.)
 	if _, err := sys.Index(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("after copy + edit the version is %d; changes since %d:\n", sys.Version(), mark)
 	for _, c := range sys.Changes(mark) {
@@ -56,11 +75,11 @@ func main() {
 
 	section, err := sys.Query(`//paper-v2.tex//Introduction`)
 	if err != nil || section.Count() == 0 {
-		log.Fatalf("section query: %v (%d results)", err, section.Count())
+		return fmt.Errorf("section query: %v (%d results)", err, section.Count())
 	}
 	steps, err := sys.Lineage(section.Items[0].OID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println("\nlineage of the Introduction section inside the copied file:")
 	for _, s := range steps {
@@ -74,7 +93,7 @@ func main() {
 	// --- Ranked search ----------------------------------------------------
 	res, err := sys.QueryRanked(`"dataspaces"`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println("\nranked results for \"dataspaces\" (by occurrence count):")
 	for i, row := range res.Rows {
@@ -82,16 +101,23 @@ func main() {
 	}
 
 	// --- Catalog persistence ----------------------------------------------
-	var buf bytes.Buffer
-	if err := sys.SaveCatalog(&buf); err != nil {
-		log.Fatal(err)
+	// Close and reopen the data directory: recovery rebuilds the catalog
+	// from the store, and re-indexing the re-added source re-associates
+	// each live view with its recorded OID.
+	if err := sys.Close(); err != nil {
+		return err
 	}
-	restored, err := idm.OpenWithCatalog(idm.Config{}, &buf)
+	restored, _, err := idm.OpenDurable(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	restored.AddFileSystem("filesystem", fs)
-	restored.Index()
+	defer restored.Close()
+	if err := restored.AddFileSystem("filesystem", fs); err != nil {
+		return err
+	}
+	if _, err := restored.Index(); err != nil {
+		return err
+	}
 	again, _ := restored.Query(`//paper.tex`)
 	fmt.Printf("\nOID stable across restart: %v (was %d, is %d)\n",
 		orig.Items[0].OID == again.Items[0].OID, orig.Items[0].OID, again.Items[0].OID)
@@ -105,14 +131,15 @@ func main() {
 	peer.Index()
 
 	fed := idm.NewFederation()
-	fed.AddPeer("laptop", sys)
+	fed.AddPeer("laptop", restored)
 	fed.AddPeer("desktop", peer)
 	fres, err := fed.Query(`"dataspaces"`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("\nfederated query across %d peers: %d rows\n", len(fed.Peers()), fres.Count())
 	for _, r := range fres.Rows {
 		fmt.Printf("  [%s] %s\n", r.Peer, r.Row[0].Path)
 	}
+	return nil
 }

@@ -1,16 +1,22 @@
 package idm_test
 
 import (
-	"bytes"
 	"testing"
 
 	idm "repro"
 )
 
+// TestCatalogPersistenceStableOIDs checks that OIDs survive a restart:
+// a durable system reopened from its DataDir, with the same sources
+// re-added and re-indexed, gives every view the OID it had before.
 func TestCatalogPersistenceStableOIDs(t *testing.T) {
 	d := idm.GenerateDataset(idm.DatasetConfig{Scale: 0.01, Seed: 3})
-	sys, err := idm.OpenDataset(d, idm.Config{Now: fixedNow})
+	cfg := idm.Config{Now: fixedNow, DataDir: t.TempDir()}
+	sys, _, err := idm.OpenDurable(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddDataset(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.Index(); err != nil {
@@ -20,28 +26,21 @@ func TestCatalogPersistenceStableOIDs(t *testing.T) {
 	if err != nil || before.Count() == 0 {
 		t.Fatalf("query: %v (%d)", err, before.Count())
 	}
-
-	var buf bytes.Buffer
-	if err := sys.SaveCatalog(&buf); err != nil {
+	count := sys.Count()
+	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := idm.OpenWithCatalog(idm.Config{Now: fixedNow}, &buf)
+
+	restored, _, err := idm.OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Count() != sys.Count() {
-		t.Errorf("restored count %d != %d", restored.Count(), sys.Count())
+	defer restored.Close()
+	if restored.Count() != count {
+		t.Errorf("restored count %d != %d", restored.Count(), count)
 	}
 	// Re-attach the same sources and re-index: OIDs stay stable.
-	sys2, err := idm.OpenDataset(d, idm.Config{Now: fixedNow})
-	_ = sys2 // OpenDataset on a fresh System is the control; use restored for the assertion
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.AddFileSystem("filesystem", d.FS); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.AddMail("email", d.Mail); err != nil {
+	if err := restored.AddDataset(d); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := restored.Index(); err != nil {
@@ -55,12 +54,6 @@ func TestCatalogPersistenceStableOIDs(t *testing.T) {
 		if before.Items[i].OID != after.Items[i].OID {
 			t.Errorf("OID changed across restart: %d → %d", before.Items[i].OID, after.Items[i].OID)
 		}
-	}
-}
-
-func TestOpenWithCatalogCorrupt(t *testing.T) {
-	if _, err := idm.OpenWithCatalog(idm.Config{}, bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("corrupt catalog accepted")
 	}
 }
 

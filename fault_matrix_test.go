@@ -229,24 +229,75 @@ func TestSourceDownServesStaleResults(t *testing.T) {
 	inj.Reset()
 }
 
-// TestFailClosedPolicy pins the strict degradation mode: queries are
-// rejected with ErrDegraded while a source is down, and work again after
-// recovery.
+// TestFailClosedPolicy pins the strict degradation mode at every read
+// entry point: while a source is down each one rejects with ErrDegraded
+// (counting the query), and after recovery each answers again.
 func TestFailClosedPolicy(t *testing.T) {
-	sys, inj := faultFS(t, idm.Config{DegradedReads: idm.FailClosed})
-	inj.Add(idm.FaultRule{Point: "fs/root", Kind: idm.FaultError, Times: 1})
-	if _, err := sys.Manager().SyncSource("fs"); err == nil {
-		t.Fatal("faulty sync succeeded")
+	const q = `"resilient keyword"`
+	// Each read reports its row count and Stale flag.
+	reads := []struct {
+		name string
+		read func(*idm.System) (int, bool, error)
+	}{
+		{"Query", func(s *idm.System) (int, bool, error) {
+			r, err := s.Query(q)
+			if err != nil {
+				return 0, false, err
+			}
+			return r.Count(), r.Stale, nil
+		}},
+		{"QueryPage", func(s *idm.System) (int, bool, error) {
+			p, err := s.QueryPage(q, nil, 0)
+			if err != nil {
+				return 0, false, err
+			}
+			return len(p.Rows), p.Stale, nil
+		}},
+		{"QueryWith", func(s *idm.System) (int, bool, error) {
+			r, err := s.QueryWith(q, idm.Backward)
+			if err != nil {
+				return 0, false, err
+			}
+			return r.Count(), r.Stale, nil
+		}},
+		{"QueryRanked", func(s *idm.System) (int, bool, error) {
+			r, err := s.QueryRanked(q)
+			if err != nil {
+				return 0, false, err
+			}
+			return r.Count(), r.Stale, nil
+		}},
+		{"Trace", func(s *idm.System) (int, bool, error) {
+			r, _, err := s.Trace(q)
+			if err != nil {
+				return 0, false, err
+			}
+			return r.Count(), r.Stale, nil
+		}},
 	}
-	if _, err := sys.Query(`"resilient keyword"`); !errors.Is(err, idm.ErrDegraded) {
-		t.Fatalf("err = %v, want ErrDegraded", err)
-	}
-	if _, err := sys.Manager().SyncSource("fs"); err != nil {
-		t.Fatalf("recovery sync: %v", err)
-	}
-	res, err := sys.Query(`"resilient keyword"`)
-	if err != nil || res.Count() != 1 || res.Stale {
-		t.Fatalf("post-recovery: %v, %+v", err, res)
+	for _, rd := range reads {
+		t.Run(rd.name, func(t *testing.T) {
+			sys, inj := faultFS(t, idm.Config{DegradedReads: idm.FailClosed})
+			inj.Add(idm.FaultRule{Point: "fs/root", Kind: idm.FaultError, Times: 1})
+			if _, err := sys.Manager().SyncSource("fs"); err == nil {
+				t.Fatal("faulty sync succeeded")
+			}
+			queries := func() int64 { return sys.Metrics().Snapshot().Counters["idm_queries_total"] }
+			before := queries()
+			if _, _, err := rd.read(sys); !errors.Is(err, idm.ErrDegraded) {
+				t.Fatalf("err = %v, want ErrDegraded", err)
+			}
+			if got := queries() - before; got != 1 {
+				t.Errorf("idm_queries_total rose by %d for a rejected read, want 1", got)
+			}
+			if _, err := sys.Manager().SyncSource("fs"); err != nil {
+				t.Fatalf("recovery sync: %v", err)
+			}
+			n, stale, err := rd.read(sys)
+			if err != nil || n != 1 || stale {
+				t.Fatalf("post-recovery: err=%v rows=%d stale=%v", err, n, stale)
+			}
+		})
 	}
 }
 

@@ -33,7 +33,6 @@ package idm
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -215,45 +214,17 @@ const (
 
 // Config tunes a System.
 type Config struct {
-	// ReplicateGroups controls the group replica (default on, matching
-	// the paper's evaluation). Disabling it switches navigation to
-	// query shipping against the live sources.
-	ReplicateGroups *bool
-	// Expansion selects the path strategy (default Forward).
-	Expansion Expansion
 	// Parallelism sets the iQL engine's worker count (default
 	// runtime.GOMAXPROCS(0); 1 forces serial execution). Results are
 	// identical at any setting.
 	Parallelism int
-	// RulePlanner reverts the iQL engine to the legacy rule-based
-	// planner (fixed parallelism, anchor choice by raw candidate
-	// counts). The default is the cost-based adaptive planner, which
-	// consults catalog and index statistics to choose serial vs
-	// parallel per stage, pick expansion direction and join build
-	// sides, and elide residual filters on index-covered steps.
-	// Results are identical under either planner.
-	RulePlanner bool
 	// Now supplies the clock for iQL date functions (default time.Now).
 	Now func() time.Time
-	// MaxContentBytes bounds per-view content indexing (default 4 MiB).
-	MaxContentBytes int64
-	// InfinitePrefix bounds the stream window drawn from infinite group
-	// components during indexing (default 1024).
-	InfinitePrefix int
-	// DisableQueryCache turns off result caching. The cache is keyed by
-	// query text and invalidated by the dataspace version (every change
-	// bumps it), so cached results are never stale; disable it only for
-	// measurement (the cold bars of Figure 6).
-	DisableQueryCache bool
 	// IndexImages additionally indexes binary content (photos, audio)
 	// in a histogram-based similarity index — the QBIC-style content
 	// index §5.2 of the paper gives as an example; query it with
 	// SimilarImages.
 	IndexImages bool
-	// DisableMetrics opens the metrics registry disabled: instruments
-	// stay wired through the stack but record nothing (one atomic load
-	// per call). Re-enable at runtime with Metrics().SetEnabled(true).
-	DisableMetrics bool
 	// SlowQuery is the query log's slow threshold: queries at or over it
 	// additionally retain a full EXPLAIN-style trace render (see
 	// QueryLog). Zero applies DefaultSlowQuery; negative disables slow
@@ -267,7 +238,7 @@ type Config struct {
 	// circuit-breaker proxy with this policy. nil leaves sources
 	// unwrapped: a failing source fails its sync on the first error.
 	Resilience *ResiliencePolicy
-	// DegradedReads selects what Query does while a source is degraded
+	// DegradedReads selects what reads do while a source is degraded
 	// (its last sync failed): ServeStale (default) answers from the
 	// last-good replica and flags the result; FailClosed returns
 	// ErrDegraded instead.
@@ -292,6 +263,12 @@ type Config struct {
 	// must match what the directory was created with. See
 	// docs/PERSISTENCE.md.
 	Backend StorageBackend
+
+	// rulePlanner pins the legacy rule-based iQL planner (fixed
+	// parallelism) in place of the cost-based adaptive one, so a test
+	// can force fan-out on any core count. Results are identical under
+	// either planner.
+	rulePlanner bool
 }
 
 // DefaultSlowQuery is the slow-query threshold applied when
@@ -310,8 +287,10 @@ const (
 	FailClosed
 )
 
-// ErrDegraded is returned by Query under Config{DegradedReads:
-// FailClosed} while at least one source is degraded.
+// ErrDegraded is returned by every read entry point (Query, QueryPage,
+// QueryWith, QueryRanked, Trace and Explain) under
+// Config{DegradedReads: FailClosed} while at least one source is
+// degraded.
 var ErrDegraded = errors.New("idm: dataspace degraded")
 
 // System is an iMeMex-style Personal Dataspace Management System: a
@@ -323,7 +302,7 @@ type System struct {
 	now        func() time.Time
 	par        int
 	planner    iql.PlannerMode
-	cache      *queryCache // nil when disabled
+	cache      *queryCache
 	metrics    *obs.Registry
 	qlog       *obs.QueryLog // nil when disabled
 	met        systemMetrics
@@ -377,7 +356,7 @@ var _ iql.StatsProvider = (*rvm.Manager)(nil)
 // Open creates an in-memory System. Config.DataDir is ignored here —
 // use OpenDurable for a dataspace backed by the durable store.
 func Open(cfg Config) *System {
-	return open(cfg, catalog.New(), nil, nil)
+	return open(cfg, catalog.New(), nil, obs.NewRegistry())
 }
 
 // OpenDurable creates a System backed by the durable store rooted at
@@ -394,9 +373,6 @@ func OpenDurable(cfg Config) (*System, *RecoveryInfo, error) {
 		return Open(cfg), nil, nil
 	}
 	reg := obs.NewRegistry()
-	if cfg.DisableMetrics {
-		reg.SetEnabled(false)
-	}
 	st, info, err := storage.Open(cfg.DataDir, storage.Options{
 		Backend: cfg.Backend,
 		Sync:    cfg.Fsync,
@@ -448,38 +424,15 @@ func (s *System) Checkpoint() error { return s.mgr.Checkpoint() }
 // graphs.
 func (s *System) StateDigest() string { return s.mgr.StateDigest() }
 
-// OpenWithCatalog creates a System whose Resource View Catalog is read
-// from r (previously written by SaveCatalog). OIDs stay stable across
-// restarts: re-adding the same sources and indexing re-associates live
-// views with their persisted identities.
-func OpenWithCatalog(cfg Config, r io.Reader) (*System, error) {
-	cat, err := catalog.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return open(cfg, cat, nil, nil), nil
-}
-
-// open assembles a System. st and reg are non-nil only on the durable
-// path (OpenDurable creates the registry early so the store's recovery
-// instruments land in the same registry as everything else).
+// open assembles a System. st is non-nil only on the durable path;
+// the caller creates reg so that OpenDurable's store recovery
+// instruments land in the same registry as everything else.
 func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry) *System {
 	opts := rvm.DefaultOptions()
-	if cfg.ReplicateGroups != nil {
-		opts.ReplicateGroups = *cfg.ReplicateGroups
-	}
-	opts.MaxContentBytes = cfg.MaxContentBytes
-	opts.InfinitePrefix = cfg.InfinitePrefix
 	opts.IndexImages = cfg.IndexImages
 	opts.Resilience = cfg.Resilience
 	opts.Faults = cfg.Faults
 	opts.Store = st
-	if reg == nil {
-		reg = obs.NewRegistry()
-		if cfg.DisableMetrics {
-			reg.SetEnabled(false)
-		}
-	}
 	opts.Metrics = reg
 	mgr := rvm.NewWithCatalog(opts, cat)
 	now := cfg.Now
@@ -487,7 +440,7 @@ func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry
 		now = time.Now
 	}
 	planner := iql.PlannerAdaptive
-	if cfg.RulePlanner {
+	if cfg.rulePlanner {
 		planner = iql.PlannerRule
 	}
 	var qlog *obs.QueryLog
@@ -499,35 +452,27 @@ func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry
 		qlog = obs.NewQueryLog(cfg.QueryLogSize, slow)
 	}
 	engine := iql.NewEngine(mgr, iql.Options{
-		Expansion:   cfg.Expansion,
 		Now:         now,
 		Parallelism: cfg.Parallelism,
 		Planner:     planner,
 		Metrics:     reg,
 		QueryLog:    qlog,
 	})
-	s := &System{
+	return &System{
 		mgr:        mgr,
 		engine:     engine,
 		converters: convert.Default(),
 		now:        now,
 		par:        cfg.Parallelism,
 		planner:    planner,
+		cache:      newQueryCache(0),
 		metrics:    reg,
 		qlog:       qlog,
 		met:        newSystemMetrics(reg),
 		degraded:   cfg.DegradedReads,
 		store:      st,
 	}
-	if !cfg.DisableQueryCache {
-		s.cache = newQueryCache(0)
-	}
-	return s
 }
-
-// SaveCatalog persists the Resource View Catalog to w; OpenWithCatalog
-// restores it.
-func (s *System) SaveCatalog(w io.Writer) error { return s.mgr.Catalog().Save(w) }
 
 // Converters returns the Content2iDM converter registry; custom
 // converters may be registered before indexing.
@@ -566,7 +511,7 @@ func (s *System) AddSource(src Source) error { return s.mgr.AddSource(src) }
 // as removals), and the query cache is emptied.
 func (s *System) RemoveSource(id string) error {
 	err := s.mgr.RemoveSource(id)
-	if err == nil && s.cache != nil {
+	if err == nil {
 		s.cache.clear()
 	}
 	return err
@@ -600,9 +545,10 @@ func (s *System) StartPolling(interval time.Duration) (stop func()) {
 func (s *System) Count() int { return s.mgr.Count() }
 
 // Query parses and evaluates an iQL query. Results are cached per
-// dataspace version (see Config.DisableQueryCache); treat them as
-// read-only. Every row is resolved against the catalog; a caller that
-// shows a page at a time wants QueryPage.
+// dataspace version, which every change bumps, so a cached result is
+// never stale; treat results as read-only. Every row is resolved
+// against the catalog; a caller that shows a page at a time wants
+// QueryPage.
 func (s *System) Query(q string) (*Result, error) {
 	start := time.Now()
 	c, hit, err := s.cachedQuery(q, start)
@@ -621,18 +567,15 @@ func (s *System) Query(q string) (*Result, error) {
 // the dataspace version it was evaluated at still stands, otherwise a
 // fresh evaluation (cached for the next caller).
 func (s *System) cachedQuery(q string, start time.Time) (c *cachedResult, hit bool, err error) {
-	s.met.queries.Inc()
-	// Degraded sources: FailClosed rejects outright; ServeStale bypasses
-	// the cache so every result honestly carries its Stale flag (a failed
-	// sync does not bump the version, so cached rows would be identical
-	// but unflagged).
-	stale := s.mgr.DegradedSources()
-	if len(stale) > 0 && s.degraded == FailClosed {
-		return nil, false, fmt.Errorf("%w: %s", ErrDegraded, strings.Join(stale, ", "))
+	degraded, err := s.admit()
+	if err != nil {
+		return nil, false, err
 	}
-	useCache := s.cache != nil && len(stale) == 0
+	// ServeStale bypasses the cache while a source is degraded, so every
+	// result honestly carries its Stale flag (a failed sync does not bump
+	// the version, so cached rows would be identical but unflagged).
 	var version uint64
-	if useCache {
+	if !degraded {
 		version = s.mgr.Version()
 		if c, ok := s.cache.get(q, version); ok {
 			s.met.cacheHits.Inc()
@@ -645,12 +588,25 @@ func (s *System) cachedQuery(q string, start time.Time) (c *cachedResult, hit bo
 		return nil, false, err
 	}
 	c = s.newCachedResult(r)
-	if useCache {
+	if !degraded {
 		// The elapsed time is what this miss cost; the cache reports it
 		// as MissLatency against the hit path's HitLatency.
 		s.cache.put(q, version, c, time.Since(start))
 	}
 	return c, false, nil
+}
+
+// admit opens every read entry point (Query, QueryPage, QueryWith,
+// QueryRanked, Trace): it counts the query and, under FailClosed,
+// rejects it with ErrDegraded while any source is degraded. It reports
+// whether a source is degraded.
+func (s *System) admit() (degraded bool, err error) {
+	s.met.queries.Inc()
+	stale := s.mgr.DegradedSources()
+	if len(stale) > 0 && s.degraded == FailClosed {
+		return true, fmt.Errorf("%w: %s", ErrDegraded, strings.Join(stale, ", "))
+	}
+	return len(stale) > 0, nil
 }
 
 // finishQuery closes a Query or QueryPage call: it stamps the call's
@@ -694,12 +650,7 @@ func (s *System) QueryLog() *obs.QueryLog { return s.qlog }
 
 // CacheStats reports query-cache hits, misses, current size and the
 // latency/age detail of cache.go.
-func (s *System) CacheStats() CacheStats {
-	if s.cache == nil {
-		return CacheStats{}
-	}
-	return s.cache.stats()
-}
+func (s *System) CacheStats() CacheStats { return s.cache.stats() }
 
 // Metrics returns the system's metrics registry. Every layer records
 // into it: idm_* (facade and cache), iql_* (query engine), rvm_* and
@@ -712,6 +663,9 @@ func (s *System) Metrics() *obs.Registry { return s.metrics }
 // (including per-worker spans for sharded stages). Trace bypasses the
 // query cache — its purpose is to show evaluation, not memoization.
 func (s *System) Trace(q string) (*Result, *obs.Trace, error) {
+	if _, err := s.admit(); err != nil {
+		return nil, nil, err
+	}
 	r, tr, err := s.engine.QueryTraced(q)
 	if err != nil {
 		return nil, tr, err
@@ -741,9 +695,12 @@ func (s *System) IndexTraced() (SyncReport, *obs.Trace, error) {
 	return rep, tr, err
 }
 
-// QueryWith evaluates with an explicit expansion strategy, overriding
-// the system default for this query.
+// QueryWith evaluates with an explicit expansion strategy in place of
+// the forward expansion Query uses. It bypasses the query cache.
 func (s *System) QueryWith(q string, exp Expansion) (*Result, error) {
+	if _, err := s.admit(); err != nil {
+		return nil, err
+	}
 	engine := iql.NewEngine(s.mgr, iql.Options{Expansion: exp, Now: s.now, Parallelism: s.par, Planner: s.planner})
 	r, err := engine.Query(q)
 	if err != nil {
@@ -818,6 +775,9 @@ func (s *System) Delete(stmt string) (int, error) {
 // summed content-occurrence counts of the query's phrases. The result's
 // Scores align with Rows.
 func (s *System) QueryRanked(q string) (*Result, error) {
+	if _, err := s.admit(); err != nil {
+		return nil, err
+	}
 	engine := iql.NewEngine(s.mgr, iql.Options{Now: s.now, Rank: true, Parallelism: s.par, Planner: s.planner})
 	r, err := engine.Query(q)
 	if err != nil {

@@ -4,14 +4,13 @@
 // the metadata the Replica&Indexes module and the query processor need
 // (class, data source, URI within the source, structural parent, and
 // component-presence flags). It substitutes for the Apache Derby
-// instance of the paper's prototype; persistence uses encoding/gob.
+// instance of the paper's prototype; the durable store (internal/store)
+// persists its entries and OID counter, and Rebuild restores them.
 package catalog
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -234,23 +233,7 @@ func (c *Catalog) NextOID() OID {
 // if the entries run ahead of it.
 func Rebuild(next OID, entries []Entry) *Catalog {
 	c := New()
-	c.next = next
-	for i := range entries {
-		e := entries[i]
-		if e.OID > c.next {
-			c.next = e.OID
-		}
-		c.entries[e.OID] = &e
-		if e.URI != "" {
-			c.byURI[uriKey(e.Source, e.URI)] = e.OID
-		}
-		src := c.bySrc[e.Source]
-		if src == nil {
-			src = make(map[OID]struct{})
-			c.bySrc[e.Source] = src
-		}
-		src[e.OID] = struct{}{}
-	}
+	c.Reset(next, entries)
 	return c
 }
 
@@ -365,46 +348,4 @@ func (c *Catalog) SizeBytes() int64 {
 	}
 	n += int64(len(c.byURI)) * 24
 	return n
-}
-
-// snapshot is the gob persistence format.
-type snapshot struct {
-	Next    OID
-	Entries []Entry
-}
-
-// Save writes the catalog to w in gob format.
-func (c *Catalog) Save(w io.Writer) error {
-	c.mu.RLock()
-	snap := snapshot{Next: c.next, Entries: make([]Entry, 0, len(c.entries))}
-	for _, e := range c.entries {
-		snap.Entries = append(snap.Entries, *e)
-	}
-	c.mu.RUnlock()
-	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].OID < snap.Entries[j].OID })
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// Load reads a catalog previously written by Save.
-func Load(r io.Reader) (*Catalog, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("catalog: load: %w", err)
-	}
-	c := New()
-	c.next = snap.Next
-	for i := range snap.Entries {
-		e := snap.Entries[i]
-		c.entries[e.OID] = &e
-		if e.URI != "" {
-			c.byURI[uriKey(e.Source, e.URI)] = e.OID
-		}
-		src := c.bySrc[e.Source]
-		if src == nil {
-			src = make(map[OID]struct{})
-			c.bySrc[e.Source] = src
-		}
-		src[e.OID] = struct{}{}
-	}
-	return c, nil
 }

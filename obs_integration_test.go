@@ -32,7 +32,7 @@ func parallelSystem(t *testing.T, parallelism int) *idm.System {
 		fs.WriteFile(fmt.Sprintf("/docs/doc%03d.txt", i),
 			[]byte("wide blob content for shard testing"))
 	}
-	sys := idm.Open(idm.Config{Now: fixedNow, Parallelism: parallelism, RulePlanner: true})
+	sys := idm.Open(idm.WithRulePlanner(idm.Config{Now: fixedNow, Parallelism: parallelism}))
 	if err := sys.AddFileSystem("filesystem", fs); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,8 @@ func TestDisableMetrics(t *testing.T) {
 	fs := idm.NewFileSystem()
 	fs.MkdirAll("/d")
 	fs.WriteFile("/d/a.txt", []byte("quiet content"))
-	sys := idm.Open(idm.Config{Now: fixedNow, DisableMetrics: true})
+	sys := idm.Open(idm.Config{Now: fixedNow})
+	sys.Metrics().SetEnabled(false)
 	if err := sys.AddFileSystem("filesystem", fs); err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +229,11 @@ func TestConcurrentQueriesWithMetricsScrape(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-scraped
+	// Every read entry point counts: 4 workers × 25 Query calls, plus a
+	// Trace on each worker's iterations 0, 10 and 20.
 	snap := sys.Metrics().Snapshot()
-	if snap.Counters["idm_queries_total"] != 100 {
-		t.Errorf("idm_queries_total = %d, want 100", snap.Counters["idm_queries_total"])
+	if snap.Counters["idm_queries_total"] != 4*25+4*3 {
+		t.Errorf("idm_queries_total = %d, want %d", snap.Counters["idm_queries_total"], 4*25+4*3)
 	}
 }
 

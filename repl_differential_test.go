@@ -57,8 +57,8 @@ func replicaDifferential(t *testing.T, backend idm.StorageBackend, generations i
 		name string
 		cfg  idm.Config
 	}{
-		{"serial", idm.Config{Parallelism: 1, RulePlanner: true, Now: fixedNow}},
-		{"parallel", idm.Config{Parallelism: 8, RulePlanner: true, Now: fixedNow}},
+		{"serial", idm.WithRulePlanner(idm.Config{Parallelism: 1, Now: fixedNow})},
+		{"parallel", idm.WithRulePlanner(idm.Config{Parallelism: 8, Now: fixedNow})},
 		{"adaptive", idm.Config{Parallelism: 8, Now: fixedNow}},
 	}
 	type lane struct {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification: gofmt, vet, build, the nested benchmark module
-# against this checkout, and the whole test suite once under the race
-# detector. CI and pre-commit both run this; `make check` is an alias.
+# against this checkout, one run of every example, and the whole test
+# suite once under the race detector. CI and pre-commit both run this;
+# `make check` is an alias.
 # A failure names its package (and test); re-run just that with
 # `go test -race -run <Test> <pkg>`, or one of the Makefile's subset
 # targets (storage-matrix, repl-chaos, load-smoke).
@@ -26,6 +27,12 @@ go build ./...
 echo '>> go -C bench vet ./... && go -C bench test ./... (benchmark-module gate)'
 go -C bench vet ./...
 go -C bench test ./...
+# The examples only compile under ./...; run each once so a facade
+# change that breaks one at run time fails here.
+for ex in examples/*/; do
+	echo ">> go run ./$ex"
+	go run "./$ex" >/dev/null
+done
 echo '>> go test -race ./...'
 go test -race ./...
 echo 'check: OK'
