@@ -22,15 +22,20 @@ func TestConcurrentQueriesDuringSync(t *testing.T) {
 	var readers, writer sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Writer: mutate and resync until the readers are done.
+	// Writer: mutate and resync until the readers are done. The first
+	// write+sync runs before stop is looked at: the bounded readers can
+	// finish before this goroutine is first scheduled, and the
+	// post-condition below needs at least one generated file.
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+			if i > 0 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
 			fs.WriteFile(fmt.Sprintf("/Projects/PIM/gen-%03d.txt", i%20),
 				[]byte(fmt.Sprintf("generated content %d with database words", i)))

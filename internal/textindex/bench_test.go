@@ -36,6 +36,17 @@ func BenchmarkIndexAdd(b *testing.B) {
 	}
 }
 
+func BenchmarkBuilderAdd(b *testing.B) {
+	docs := benchCorpus(256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bld := NewBuilder()
+		for d, text := range docs {
+			bld.Add(DocID(d+1), text)
+		}
+	}
+}
+
 func BenchmarkIndexLookup(b *testing.B) {
 	ix := New()
 	for d, text := range benchCorpus(1024) {
@@ -73,6 +84,7 @@ func BenchmarkIndexAnd(b *testing.B) {
 func BenchmarkTokenize(b *testing.B) {
 	text := benchCorpus(1)[0]
 	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Tokenize(text)

@@ -37,6 +37,7 @@ type Builder struct {
 	spans  []docSpan
 	latest map[DocID]int32 // span index of the doc's latest Add
 	docs   map[DocID]int
+	scan   scanner
 }
 
 // NewBuilder returns an empty bulk builder.
@@ -49,20 +50,24 @@ func NewBuilder() *Builder {
 }
 
 // Add spills one document's tokens. Re-adding a document supersedes
-// its earlier tokens, matching Index.Add.
+// its earlier tokens, matching Index.Add. Terms are interned straight
+// from the scanner's buffer, so a document whose terms are all known
+// allocates nothing per token.
 func (b *Builder) Add(doc DocID, text string) {
-	tokens := Tokenize(text)
-	b.latest[doc] = int32(len(b.spans))
-	b.docs[doc] = len(tokens)
-	b.spans = append(b.spans, docSpan{doc: doc, start: len(b.terms), n: len(tokens)})
-	for _, tok := range tokens {
-		id, ok := b.termID[tok]
+	start := len(b.terms)
+	b.scan.reset(text)
+	for tok := b.scan.next(); len(tok) > 0; tok = b.scan.next() {
+		id, ok := b.termID[string(tok)]
 		if !ok {
 			id = int32(len(b.termID))
-			b.termID[tok] = id
+			b.termID[string(tok)] = id
 		}
 		b.terms = append(b.terms, id)
 	}
+	n := len(b.terms) - start
+	b.latest[doc] = int32(len(b.spans))
+	b.docs[doc] = n
+	b.spans = append(b.spans, docSpan{doc: doc, start: start, n: n})
 }
 
 // DocCount returns the number of distinct documents added so far.

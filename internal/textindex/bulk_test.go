@@ -21,6 +21,10 @@ func TestBuilderMatchesIncremental(t *testing.T) {
 		{5, "dataspace queries over a unified model"},
 		{2, "revised: the data model after review"}, // re-add supersedes
 		{6, "final words on management"},
+		{7, "Ünïcode Wörds: ΣΟΦΙΑ σοφίας, İstanbul ıı"},
+		{8, "\u212aelvin ０９ café cafe\u0301 😀data😀model"},
+		{7, "ΣΟΦΙΑ again, now with Straße"}, // non-ASCII re-add
+		{9, "bad\xffbytes \xc3 and ünïcode"},
 	}
 
 	inc := New()
@@ -42,7 +46,8 @@ func TestBuilderMatchesIncremental(t *testing.T) {
 			t.Errorf("Lookup(%q) = %v, want %v", term, got, want)
 		}
 	}
-	for _, phrase := range []string{"data model", "indexing indexing", "personal dataspace", "revised the data"} {
+	for _, phrase := range []string{"data model", "indexing indexing", "personal dataspace", "revised the data",
+		"σοφια again", "kelvin ０９", "cafe", "bad bytes", "ÜNÏCODE"} {
 		if got, want := built.Phrase(phrase), inc.Phrase(phrase); !reflect.DeepEqual(got, want) {
 			t.Errorf("Phrase(%q) = %v, want %v", phrase, got, want)
 		}
@@ -70,5 +75,20 @@ func TestBuilderPostingOrder(t *testing.T) {
 		if docs[i-1] >= docs[i] {
 			t.Fatalf("posting list out of order at %d: %v", i, docs[:i+1])
 		}
+	}
+}
+
+// TestBuilderAddAllocs pins that the bulk builder interns from the
+// scanner's buffer: re-adding a document whose terms are all known
+// allocates nothing, however many tokens it has.
+func TestBuilderAddAllocs(t *testing.T) {
+	text := benchCorpus(1)[0]
+	b := NewBuilder()
+	b.Add(1, text)
+	// Pre-size the spill so amortised slice growth is not counted.
+	b.terms = make([]int32, 0, 1<<16)
+	b.spans = make([]docSpan, 0, 1<<8)
+	if allocs := testing.AllocsPerRun(100, func() { b.Add(1, text) }); allocs != 0 {
+		t.Fatalf("Builder.Add of an interned document: %v allocs, want 0", allocs)
 	}
 }

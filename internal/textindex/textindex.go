@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"unicode"
 )
 
 // DocID identifies one indexed document (in iMeMex: one resource view,
@@ -46,50 +45,43 @@ func New() *Index {
 	}
 }
 
-// Tokenize splits text into lower-case terms: maximal runs of letters and
-// digits. This matches the simple analyzer behaviour the evaluation
-// queries assume.
-func Tokenize(text string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			cur.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
-		}
-	}
-	flush()
-	return out
-}
-
 // Add indexes the text of a document. Adding a previously added document
-// re-indexes it (the old postings are superseded via delete + re-add).
+// re-indexes it: its old postings are removed first, whether it is live
+// or tombstoned.
 func (ix *Index) Add(doc DocID, text string) {
-	tokens := Tokenize(text)
+	// Intern the document's terms straight from the scanner's buffer:
+	// one string per distinct term, not per token.
+	var s scanner
+	s.reset(text)
+	slot := make(map[string]int)
+	var terms []string
+	var positions [][]uint32
+	n := 0
+	for tok := s.next(); len(tok) > 0; tok = s.next() {
+		i, ok := slot[string(tok)]
+		if !ok {
+			i = len(terms)
+			terms = append(terms, string(tok))
+			slot[terms[i]] = i
+			positions = append(positions, nil)
+		}
+		positions[i] = append(positions[i], uint32(n))
+		n++
+	}
+
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, exists := ix.docs[doc]; exists {
+	if _, live := ix.docs[doc]; live || ix.deleted[doc] {
 		ix.removeLocked(doc)
 	}
 	delete(ix.deleted, doc)
-	ix.docs[doc] = len(tokens)
-	perTerm := make(map[string][]uint32)
-	for pos, tok := range tokens {
-		perTerm[tok] = append(perTerm[tok], uint32(pos))
-	}
-	for term, positions := range perTerm {
+	ix.docs[doc] = n
+	for t, term := range terms {
 		list := ix.terms[term]
 		i := sort.Search(len(list), func(i int) bool { return list[i].doc >= doc })
 		list = append(list, posting{})
 		copy(list[i+1:], list[i:])
-		list[i] = posting{doc: doc, positions: positions}
+		list[i] = posting{doc: doc, positions: positions[t]}
 		ix.terms[term] = list
 	}
 }
@@ -106,7 +98,8 @@ func (ix *Index) Delete(doc DocID) {
 }
 
 // removeLocked physically removes a document's postings (used on
-// re-index, where tombstoning would hide the new postings too).
+// re-index, where a tombstone would hide the new postings too, and
+// where a cleared tombstone would resurrect the old ones).
 func (ix *Index) removeLocked(doc DocID) {
 	delete(ix.docs, doc)
 	for term, list := range ix.terms {

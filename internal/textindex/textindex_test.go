@@ -194,6 +194,35 @@ func TestReAdd(t *testing.T) {
 	}
 }
 
+// TestReAddAfterDelete pins that re-adding a tombstoned document drops
+// its old postings: clearing the tombstone must not resurrect them.
+func TestReAddAfterDelete(t *testing.T) {
+	ix := New()
+	ix.Add(1, "alpha beta")
+	ix.Delete(1)
+	ix.Add(1, "gamma")
+	for _, term := range []string{"alpha", "beta"} {
+		if got := ix.Lookup(term); len(got) != 0 {
+			t.Errorf("Lookup(%q) = %v after re-add, want none", term, got)
+		}
+		if n := ix.PostingLen(term); n != 0 {
+			t.Errorf("PostingLen(%q) = %d after re-add, want 0", term, n)
+		}
+	}
+	if got := ix.Phrase("alpha beta"); len(got) != 0 {
+		t.Errorf("Phrase(alpha beta) = %v after re-add, want none", got)
+	}
+	if got := ix.Lookup("gamma"); !reflect.DeepEqual(got, []DocID{1}) {
+		t.Errorf("Lookup(gamma) = %v, want [1]", got)
+	}
+	if n := ix.PostingLen("gamma"); n != 1 {
+		t.Errorf("PostingLen(gamma) = %d, want 1", n)
+	}
+	if ix.DocCount() != 1 || ix.TombstoneCount() != 0 {
+		t.Errorf("DocCount %d, TombstoneCount %d; want 1, 0", ix.DocCount(), ix.TombstoneCount())
+	}
+}
+
 func TestMatchTerms(t *testing.T) {
 	ix := seedIndex()
 	got := ix.MatchTerms("tun")

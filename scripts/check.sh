@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification: gofmt, vet, build, the nested benchmark module
-# against this checkout, one run of every example, and the whole test
-# suite once under the race detector. CI and pre-commit both run this;
+# against this checkout, one run of every example, one pass of the
+# text-index microbenchmarks, and the whole test suite once under the
+# race detector. CI and pre-commit both run this;
 # `make check` is an alias.
 # A failure names its package (and test); re-run just that with
 # `go test -race -run <Test> <pkg>`, or one of the Makefile's subset
@@ -33,6 +34,10 @@ for ex in examples/*/; do
 	echo ">> go run ./$ex"
 	go run "./$ex" >/dev/null
 done
+# The text-index microbenchmarks (analyzer, bulk and incremental adds)
+# once each, so they keep compiling and running.
+echo '>> go test -bench . -benchtime 1x ./internal/textindex (text-index microbenchmarks)'
+go test -run '^$' -bench . -benchtime 1x ./internal/textindex
 echo '>> go test -race ./...'
 go test -race ./...
 echo 'check: OK'
