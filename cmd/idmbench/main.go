@@ -17,7 +17,7 @@
 // -tenx adds the scale_10x section (the same measurement at 10× -scale).
 // -ixreps adds the index_build section: cold-start index construction
 // from a recovered durable state at -ixscale (default 1.0, the paper
-// shape), per-view incremental insertion vs the sort-based bulk build.
+// shape), per-view incremental insertion vs the counting bulk build.
 // -minspeedup fails the run (exit 1) if any query's adaptive speedup
 // over serial falls below the threshold — the planner regression gate.
 // -obsgate fails the run if the mean disabled overhead exceeds 2% or

@@ -544,7 +544,7 @@ type ScaleSection struct {
 // num_cpu, the per-query adaptive mode with its planner section, and
 // the optional scale_10x section; version 4 added the query-log mode
 // to obs_overhead; version 5 added the optional index_build section
-// (cold-start restore, incremental vs sort-based bulk). Readers of
+// (cold-start restore, incremental vs counting bulk). Readers of
 // older versions still parse newer files by ignoring the unknown keys.
 type BenchReport struct {
 	SchemaVersion int     `json:"schema_version"`
@@ -898,7 +898,7 @@ func BenchObsOverhead(s *Setup, runs, reps int) (*ObsOverhead, error) {
 // IndexBuild is the index_build section of BENCH_iql.json (schema v5):
 // the time to rebuild the Replica & Indexes module from a recovered
 // durable state, by per-record incremental insertion (what a follower
-// replaying the same records does) and by the sort-based bulk build
+// replaying the same records does) and by the counting bulk build
 // OpenDurable uses on a cold start.
 type IndexBuild struct {
 	Scale float64 `json:"scale"`

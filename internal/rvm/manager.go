@@ -163,7 +163,7 @@ func NewWithCatalog(opts Options, cat *catalog.Catalog) *Manager {
 		sources:  make(map[string]sources.Source),
 		dirty:    make(map[string]bool),
 		health:   make(map[string]*SourceHealth),
-		replicas: newReplicas(),
+		replicas: newReplicas(0),
 	}
 }
 
@@ -191,22 +191,25 @@ type replicas struct {
 	textLen      map[catalog.OID]int64
 }
 
-func newReplicas() replicas {
+// newReplicas returns empty replicas whose per-view maps have room for
+// views entries, so a restore that knows its size does not rehash them
+// as it fills them.
+func newReplicas(views int) replicas {
 	return replicas{
 		nameIdx:      textindex.New(),
-		nameRep:      make(map[catalog.OID]string),
+		nameRep:      make(map[catalog.OID]string, views),
 		byLowerName:  make(map[string]map[catalog.OID]struct{}),
-		nameLower:    make(map[catalog.OID]string),
+		nameLower:    make(map[catalog.OID]string, views),
 		tupleIdx:     tupleindex.New(),
 		contentIdx:   textindex.New(),
 		imageIdx:     imageindex.New(),
 		groupRep:     make(map[catalog.OID][]catalog.OID),
-		parentRep:    make(map[catalog.OID][]catalog.OID),
+		parentRep:    make(map[catalog.OID][]catalog.OID, views),
 		classRep:     make(map[string]map[catalog.OID]struct{}),
-		classOf:      make(map[catalog.OID]string),
+		classOf:      make(map[catalog.OID]string, views),
 		views:        make(map[catalog.OID]core.ResourceView),
 		contentBytes: make(map[string]int64),
-		textLen:      make(map[catalog.OID]int64),
+		textLen:      make(map[catalog.OID]int64, views),
 	}
 }
 

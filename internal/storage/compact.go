@@ -19,7 +19,7 @@ import (
 // sorted, checksummed segment file per source plus a single append
 // tail. A compaction (Snapshot) rewrites every source's segment from
 // the shadow state and truncates the tail, so steady-state recovery is
-// a sequential scan of sorted segments — which feeds the sort-based
+// a sequential scan of sorted segments — which feeds the counting
 // bulk index build directly — instead of an LSN merge across per-source
 // WALs.
 //

@@ -14,7 +14,7 @@
 //   - BackendCompact (compact.go): one immutable, sorted, checksummed
 //     segment file per source, rebuilt by snapshot-compaction, plus a
 //     single append tail. Read-optimized; cold starts scan per-source
-//     segments in ascending-OID order, which feeds the sort-based bulk
+//     segments in ascending-OID order, which feeds the counting bulk
 //     index build directly.
 //
 // Both backends share the record, frame and snapshot formats of

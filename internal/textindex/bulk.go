@@ -1,6 +1,9 @@
 package textindex
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // docSpan is one Add call: the document and its contiguous slice of
 // spilled term IDs. A token's position is implicit — its offset within
@@ -10,64 +13,75 @@ type docSpan struct {
 	doc   DocID
 	start int
 	n     int
+	// superseded marks a span a later Add of the same document replaced.
+	superseded bool
 }
 
-// Builder constructs an Index with a sort-based bulk build: Add spills
-// one interned term ID per token (4 bytes, positions implicit in span
-// offsets) without touching any posting list, then Build materializes
-// every posting list with a counting pass — a bucket sort on term IDs
-// into two exactly-sized arenas (one []uint32 for all positions, one
-// []posting for all lists). Feeding documents in ascending DocID order
-// (the order RestoreFromState scans, and the order compacted segments
-// store) keeps each bucket naturally sorted; out-of-order feeds fall
-// back to a per-list sort. Compared with the incremental path this
-// saves the per-document term map, the per-term binary search and map
-// rehash on every insert, and the repeated posting-slice regrowth; the
-// build itself is sequential scans plus small dense per-term arrays —
-// no per-token map lookups, so it stays fast when the corpus outgrows
-// the CPU cache.
+// Builder constructs an Index with a counting bulk build: Add scans,
+// keys and interns each token in one pass and spills its term ID (4
+// bytes, positions implicit in span offsets) without touching any
+// posting list, then Build materializes every posting list with a
+// counting pass — a bucket sort on term IDs into two exactly-sized
+// arenas (one []uint32 for all positions, one []posting for all
+// lists). Feeding documents in ascending DocID order (the order
+// RestoreFromState scans, and the order compacted segments store) keeps
+// each bucket naturally sorted; out-of-order feeds fall back to a
+// per-list sort. Compared with the incremental path this saves the
+// per-document term table, the per-term binary search and map rehash on
+// every insert, and the repeated posting-slice regrowth; the build
+// itself is sequential scans plus small dense per-term arrays.
 //
 // The built index is semantically identical to incrementally Add-ing
 // the same documents in the same order (the bulk-vs-incremental
-// differential test pins this). A Builder is single-use and not safe
-// for concurrent use; the Index it returns is.
+// differential test and FuzzBuilderMatchesIndex pin this). A Builder is
+// single-use and not safe for concurrent use; the Index it returns is.
 type Builder struct {
-	termID map[string]int32
-	terms  []int32 // one interned term ID per spilled token
-	spans  []docSpan
-	latest map[DocID]int32 // span index of the doc's latest Add
-	docs   map[DocID]int
-	scan   scanner
+	dict  interner
+	terms []int32 // one interned term ID per spilled token
+	spans []docSpan
+	docs  map[DocID]int32 // span index of the doc's latest Add
+	scan  scanner
 }
 
 // NewBuilder returns an empty bulk builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		termID: make(map[string]int32),
-		latest: make(map[DocID]int32),
-		docs:   make(map[DocID]int),
+		dict: newInterner(initialSlots),
+		docs: make(map[DocID]int32),
+	}
+}
+
+// bytesPerToken is what Grow expects one token to take in text, its
+// separator included: an estimate, rounded down, so that the spill
+// rarely needs to grow after Grow.
+const bytesPerToken = 6
+
+// Grow reserves room for about docs more documents holding textBytes
+// more bytes of text, so a caller that knows its input's size up front
+// (a restore does) does not regrow the spill while it adds.
+func (b *Builder) Grow(docs, textBytes int) {
+	b.terms = slices.Grow(b.terms, textBytes/bytesPerToken)
+	b.spans = slices.Grow(b.spans, docs)
+	if len(b.docs) == 0 {
+		b.docs = make(map[DocID]int32, docs)
 	}
 }
 
 // Add spills one document's tokens. Re-adding a document supersedes
 // its earlier tokens, matching Index.Add. Terms are interned straight
-// from the scanner's buffer, so a document whose terms are all known
-// allocates nothing per token.
+// from the scanner, so a document whose terms are all known allocates
+// nothing per token.
 func (b *Builder) Add(doc DocID, text string) {
 	start := len(b.terms)
 	b.scan.reset(text)
-	for tok := b.scan.next(); len(tok) > 0; tok = b.scan.next() {
-		id, ok := b.termID[string(tok)]
-		if !ok {
-			id = int32(len(b.termID))
-			b.termID[string(tok)] = id
-		}
-		b.terms = append(b.terms, id)
+	for b.scan.next() {
+		b.terms = append(b.terms, b.dict.id(&b.scan))
 	}
-	n := len(b.terms) - start
-	b.latest[doc] = int32(len(b.spans))
-	b.docs[doc] = n
-	b.spans = append(b.spans, docSpan{doc: doc, start: start, n: n})
+	if prev, ok := b.docs[doc]; ok {
+		b.spans[prev].superseded = true
+	}
+	b.docs[doc] = int32(len(b.spans))
+	b.spans = append(b.spans, docSpan{doc: doc, start: start, n: len(b.terms) - start})
 }
 
 // DocCount returns the number of distinct documents added so far.
@@ -82,7 +96,7 @@ func (b *Builder) DocCount() int { return len(b.docs) }
 // doc order are sorted afterwards. The builder must not be used after
 // Build.
 func (b *Builder) Build() *Index {
-	nt := len(b.termID)
+	nt := len(b.dict.terms)
 	tokCount := make([]int32, nt) // live token occurrences per term
 	runCount := make([]int32, nt) // live (term, doc) pairs per term
 	lastDoc := make([]DocID, nt)
@@ -90,8 +104,8 @@ func (b *Builder) Build() *Index {
 	live := 0
 	for si := range b.spans {
 		sp := &b.spans[si]
-		if b.latest[sp.doc] != int32(si) {
-			continue // superseded by a later re-add of the same doc
+		if sp.superseded {
+			continue
 		}
 		live += sp.n
 		for _, t := range b.terms[sp.start : sp.start+sp.n] {
@@ -128,7 +142,7 @@ func (b *Builder) Build() *Index {
 	}
 	for si := range b.spans {
 		sp := &b.spans[si]
-		if b.latest[sp.doc] != int32(si) {
+		if sp.superseded {
 			continue
 		}
 		for i, t := range b.terms[sp.start : sp.start+sp.n] {
@@ -152,11 +166,15 @@ func (b *Builder) Build() *Index {
 			closeRun(t)
 		}
 	}
-	ix := New()
-	for doc, n := range b.docs {
-		ix.docs[doc] = n
+	ix := &Index{
+		terms:   make(map[string][]posting, nt),
+		docs:    make(map[DocID]int, len(b.docs)),
+		deleted: make(map[DocID]bool),
 	}
-	for term, id := range b.termID {
+	for doc, si := range b.docs {
+		ix.docs[doc] = b.spans[si].n
+	}
+	for id, term := range b.dict.terms {
 		list := postArena[postOff[id]:postNext[id]:postNext[id]]
 		if len(list) == 0 {
 			continue
@@ -166,6 +184,6 @@ func (b *Builder) Build() *Index {
 		}
 		ix.terms[term] = list
 	}
-	b.terms, b.spans = nil, nil
+	*b = Builder{}
 	return ix
 }

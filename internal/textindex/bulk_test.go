@@ -3,6 +3,7 @@ package textindex
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -52,6 +53,9 @@ func TestBuilderMatchesIncremental(t *testing.T) {
 			t.Errorf("Phrase(%q) = %v, want %v", phrase, got, want)
 		}
 	}
+	if got, want := canonical(t, built), canonical(t, inc); got != want {
+		t.Fatalf("bulk and incremental indexes differ:\n%s\nvs\n%s", got, want)
+	}
 	// The superseded postings must be gone entirely, not tombstoned.
 	if got := built.Lookup("unifies"); len(got) != 0 {
 		t.Fatalf("superseded posting survived the bulk build: %v", got)
@@ -78,17 +82,55 @@ func TestBuilderPostingOrder(t *testing.T) {
 	}
 }
 
-// TestBuilderAddAllocs pins that the bulk builder interns from the
-// scanner's buffer: re-adding a document whose terms are all known
-// allocates nothing, however many tokens it has.
+// TestBuilderAddAllocs pins that the bulk builder interns straight from
+// the scanner: re-adding a document whose terms are all known allocates
+// nothing, however many tokens it has — whether its terms stand in the
+// text as they are or are folded (upper-case, non-ASCII, long).
 func TestBuilderAddAllocs(t *testing.T) {
-	text := benchCorpus(1)[0]
-	b := NewBuilder()
-	b.Add(1, text)
-	// Pre-size the spill so amortised slice growth is not counted.
-	b.terms = make([]int32, 0, 1<<16)
-	b.spans = make([]docSpan, 0, 1<<8)
-	if allocs := testing.AllocsPerRun(100, func() { b.Add(1, text) }); allocs != 0 {
-		t.Fatalf("Builder.Add of an interned document: %v allocs, want 0", allocs)
+	for name, text := range map[string]string{
+		"lower":  benchCorpus(1)[0],
+		"folded": strings.Repeat("Database TUNING Ünïcode ΣΟΦΙΑ \u212aelvin personaldataspaces ", 20),
+	} {
+		b := NewBuilder()
+		b.Add(1, text)
+		// Reserve the spill so amortised slice growth is not counted.
+		b.Grow(1<<8, 1<<19)
+		if allocs := testing.AllocsPerRun(100, func() { b.Add(1, text) }); allocs != 0 {
+			t.Errorf("Builder.Add of an interned %s document: %v allocs, want 0", name, allocs)
+		}
 	}
+}
+
+// canonical returns ix.WriteCanonical's output.
+func canonical(t testing.TB, ix *Index) string {
+	t.Helper()
+	var b strings.Builder
+	if err := ix.WriteCanonical(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// FuzzBuilderMatchesIndex differentially pins the bulk build against
+// Index.Add, posting for posting: the text is split into documents at
+// '|', and ids (when long enough) picks each document's ID from 8, so
+// re-adds and out-of-order feeds occur.
+func FuzzBuilderMatchesIndex(f *testing.F) {
+	f.Add("intro to personal dataspace|the iDM model|indexing indexing", []byte{})
+	f.Add("Ünïcode Wörds|ΣΟΦΙΑ σοφίας|\u212aelvin ０９|bad\xffbytes|", []byte{3, 1, 3, 0, 1})
+	f.Add("a b a|b a b|prefix01xmiddleysuffix01 prefix01ymiddlexsuffix01", []byte{7, 6, 7})
+	f.Fuzz(func(t *testing.T, text string, ids []byte) {
+		inc, b := New(), NewBuilder()
+		for i, doc := range strings.Split(text, "|") {
+			id := DocID(i)
+			if i < len(ids) {
+				id = DocID(ids[i] % 8)
+			}
+			inc.Add(id, doc)
+			b.Add(id, doc)
+		}
+		if got, want := canonical(t, b.Build()), canonical(t, inc); got != want {
+			t.Fatalf("Builder.Build:\n%s\nIndex.Add:\n%s", got, want)
+		}
+	})
 }

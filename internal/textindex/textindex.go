@@ -9,6 +9,10 @@
 package textindex
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,23 +53,19 @@ func New() *Index {
 // re-indexes it: its old postings are removed first, whether it is live
 // or tombstoned.
 func (ix *Index) Add(doc DocID, text string) {
-	// Intern the document's terms straight from the scanner's buffer:
-	// one string per distinct term, not per token.
+	// Intern the document's terms straight from the scanner: one string
+	// per distinct term, not per token.
 	var s scanner
 	s.reset(text)
-	slot := make(map[string]int)
-	var terms []string
+	dict := newInterner(initialSlots)
 	var positions [][]uint32
 	n := 0
-	for tok := s.next(); len(tok) > 0; tok = s.next() {
-		i, ok := slot[string(tok)]
-		if !ok {
-			i = len(terms)
-			terms = append(terms, string(tok))
-			slot[terms[i]] = i
+	for s.next() {
+		id := dict.id(&s)
+		if int(id) == len(positions) {
 			positions = append(positions, nil)
 		}
-		positions[i] = append(positions[i], uint32(n))
+		positions[id] = append(positions[id], uint32(n))
 		n++
 	}
 
@@ -76,7 +76,7 @@ func (ix *Index) Add(doc DocID, text string) {
 	}
 	delete(ix.deleted, doc)
 	ix.docs[doc] = n
-	for t, term := range terms {
+	for t, term := range dict.terms {
 		list := ix.terms[term]
 		i := sort.Search(len(list), func(i int) bool { return list[i].doc >= doc })
 		list = append(list, posting{})
@@ -351,6 +351,45 @@ func (ix *Index) MatchTerms(prefix string) []string {
 		}
 	}
 	sort.Strings(out)
+	return out
+}
+
+// WriteCanonical writes the index's contents to w in a canonical text
+// form: every term in sorted order with its postings, each a document
+// and its positions, in stored order; then every live document with its
+// token count; then the tombstones. Two indexes holding the same
+// postings write the same bytes however they were built, which is what
+// the bulk-versus-incremental differential tests compare.
+func (ix *Index) WriteCanonical(w io.Writer) error {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	bw := bufio.NewWriter(w)
+	terms := make([]string, 0, len(ix.terms))
+	for t := range ix.terms {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	for _, t := range terms {
+		fmt.Fprintf(bw, "term %q\n", t)
+		for _, p := range ix.terms[t] {
+			fmt.Fprintf(bw, "\t%d %v\n", p.doc, p.positions)
+		}
+	}
+	for _, d := range sortedDocs(ix.docs) {
+		fmt.Fprintf(bw, "doc %d %d\n", d, ix.docs[d])
+	}
+	for _, d := range sortedDocs(ix.deleted) {
+		fmt.Fprintf(bw, "deleted %d\n", d)
+	}
+	return bw.Flush()
+}
+
+func sortedDocs[V any](m map[DocID]V) []DocID {
+	out := make([]DocID, 0, len(m))
+	for d := range m {
+		out = append(out, d)
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -9,7 +9,11 @@
 package tupleindex
 
 import (
+	"bufio"
+	"cmp"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -162,24 +166,70 @@ func (ix *Index) Attributes() []string {
 
 // ensureSorted sorts a column by value (incomparable values order by
 // domain, then by doc id for stability). Caller holds the write lock.
+//
+// The order is not a total one — comparisons that cross value kinds
+// (int / string / float) are not transitive — so the result depends on
+// the algorithm, not only on the comparator: slices.SortStableFunc runs
+// the same insertion-sort-plus-symMerge stable sort sort.SliceStable
+// does, comparison for comparison, without its reflection-based swaps.
 func (col *column) ensureSorted() {
 	if col.sorted {
 		return
 	}
-	sort.SliceStable(col.entries, func(i, j int) bool {
-		a, b := col.entries[i], col.entries[j]
-		if c, err := core.Compare(a.value, b.value); err == nil {
-			if c != 0 {
-				return c < 0
-			}
-			return a.doc < b.doc
-		}
-		if a.value.Kind != b.value.Kind {
-			return a.value.Kind < b.value.Kind
-		}
-		return a.doc < b.doc
-	})
+	slices.SortStableFunc(col.entries, compareEntries)
 	col.sorted = true
+}
+
+// compareEntries is the column order: negative exactly when a sorts
+// before b.
+func compareEntries(a, b entry) int {
+	if c, err := core.Compare(a.value, b.value); err == nil && c != 0 {
+		return c
+	} else if err != nil && a.value.Kind != b.value.Kind {
+		return cmp.Compare(a.value.Kind, b.value.Kind)
+	}
+	return cmp.Compare(a.doc, b.doc)
+}
+
+// WriteCanonical writes the index's contents to w in a canonical text
+// form: every column by attribute name, its entries in column order
+// (sorting it first, as a query would), then every replicated tuple by
+// document. Two indexes holding the same tuples write the same bytes
+// however they were built, which is what the bulk-versus-incremental
+// differential tests compare.
+func (ix *Index) WriteCanonical(w io.Writer) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	bw := bufio.NewWriter(w)
+	names := make([]string, 0, len(ix.columns))
+	for n := range ix.columns {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		col := ix.columns[n]
+		col.ensureSorted()
+		fmt.Fprintf(bw, "column %q\n", n)
+		for _, e := range col.entries {
+			fmt.Fprintf(bw, "\t%d %d:%q\n", e.doc, e.value.Kind, e.value)
+		}
+	}
+	docs := make([]DocID, 0, len(ix.replica))
+	for d := range ix.replica {
+		docs = append(docs, d)
+	}
+	slices.Sort(docs)
+	for _, d := range docs {
+		tc := ix.replica[d]
+		fmt.Fprintf(bw, "tuple %d", d)
+		for i, attr := range tc.Schema {
+			if i < len(tc.Tuple) {
+				fmt.Fprintf(bw, " %s=%d:%q", attr.Name, tc.Tuple[i].Kind, tc.Tuple[i])
+			}
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
 }
 
 // Query returns the ids of documents whose attribute satisfies (op,

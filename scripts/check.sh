@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full verification: gofmt, vet, build, the nested benchmark module
 # against this checkout, one run of every example, one pass of the
-# text-index microbenchmarks, and the whole test suite once under the
-# race detector. CI and pre-commit both run this;
-# `make check` is an alias.
+# text-index microbenchmarks and the restore benchmark, and the whole
+# test suite once under the race detector. CI and pre-commit both run
+# this; `make check` is an alias.
 # A failure names its package (and test); re-run just that with
 # `go test -race -run <Test> <pkg>`, or one of the Makefile's subset
 # targets (storage-matrix, repl-chaos, load-smoke).
@@ -35,9 +35,12 @@ for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
 # The text-index microbenchmarks (analyzer, bulk and incremental adds)
-# once each, so they keep compiling and running.
+# and the cold-open restore benchmark once each, so they keep compiling
+# and running.
 echo '>> go test -bench . -benchtime 1x ./internal/textindex (text-index microbenchmarks)'
 go test -run '^$' -bench . -benchtime 1x ./internal/textindex
+echo '>> go test -bench RestoreFromState -benchtime 1x ./internal/rvm (restore benchmark)'
+go test -run '^$' -bench RestoreFromState -benchtime 1x ./internal/rvm
 echo '>> go test -race ./...'
 go test -race ./...
 echo 'check: OK'
