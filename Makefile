@@ -27,9 +27,10 @@ test:
 
 # Short fuzzing pass over the iQL parser, evaluator, the
 # serial-vs-parallel differential harness, the durable store's WAL and
-# snapshot decoders, the compacted-segment decoder, the text-index
-# analyzer against its rune-loop reference, and the text index's bulk
-# build against its incremental one (30s per target;
+# snapshot decoders, the compacted-segment decoder, the daemon's
+# request decoders and its /query encoder against encoding/json, the
+# text-index analyzer against its rune-loop reference, and the text
+# index's bulk build against its incremental one (30s per target;
 # iQL seed corpora live in internal/iql/testdata/fuzz/, the segment
 # seed is testdata/store/compact.seg, store corpora are generated
 # in-test). Each target must run alone: `go test -fuzz` accepts only
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test ./internal/repl -run '^$$' -fuzz '^FuzzShipDecode$$' -fuzztime 30s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzQueryEncoding$$' -fuzztime 30s
 	$(GO) test ./internal/textindex -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 30s
 	$(GO) test ./internal/textindex -run '^$$' -fuzz '^FuzzBuilderMatchesIndex$$' -fuzztime 30s
 

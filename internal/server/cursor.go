@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	idm "repro"
 )
@@ -49,10 +50,22 @@ func queryHash(q string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// encodeCursor mints the opaque wire form.
+// encodeCursor mints the opaque wire form over the bytes json.Marshal
+// writes for pageCursor, appended by hand like a /query body. last is a
+// row key, never empty.
 func encodeCursor(qhash string, last []idm.OID) string {
-	b, _ := json.Marshal(pageCursor{V: cursorVersion, Q: qhash, Last: last})
-	return base64.RawURLEncoding.EncodeToString(b)
+	b := append(make([]byte, 0, 64), `{"v":`...)
+	b = strconv.AppendInt(b, cursorVersion, 10)
+	b = append(b, `,"q":`...)
+	b = appendString(b, qhash)
+	b = append(b, `,"last":[`...)
+	for i, oid := range last {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(oid), 10)
+	}
+	return base64.RawURLEncoding.EncodeToString(append(b, "]}"...))
 }
 
 // decodeCursor parses and validates an opaque cursor. Every failure is

@@ -21,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	pathpkg "path"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -232,8 +233,7 @@ func (s *Server) tenantHandler(h func(http.ResponseWriter, *http.Request, *entry
 			return
 		}
 		defer s.tenants.release(e)
-		atomic.AddInt64(&e.requests, 1)
-		s.metrics.Counter("srv_tenant_" + name + "_requests_total").Inc()
+		e.requests.Inc()
 		h(w, r, e)
 	}
 }
@@ -287,23 +287,6 @@ type queryRequest struct {
 	Cursor string `json:"cursor,omitempty"`
 	// Limit is the requested page size (clamped to the tenant quota).
 	Limit int `json:"limit,omitempty"`
-}
-
-type itemJSON struct {
-	OID    uint64 `json:"oid"`
-	Name   string `json:"name"`
-	Class  string `json:"class"`
-	Source string `json:"source"`
-	Path   string `json:"path"`
-	URI    string `json:"uri"`
-}
-
-type queryResponse struct {
-	Columns    []string     `json:"columns"`
-	Rows       [][]itemJSON `json:"rows"`
-	Total      int          `json:"total"`
-	NextCursor string       `json:"next_cursor,omitempty"`
-	Stale      bool         `json:"stale,omitempty"`
 }
 
 type sourceRequest struct {
@@ -379,30 +362,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *entry) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp := queryResponse{
-		Columns: page.Columns,
-		Rows:    make([][]itemJSON, 0, len(page.Rows)),
-		Total:   page.Total,
-		Stale:   page.Stale,
-	}
+	var next string
 	if page.Next != nil {
-		resp.NextCursor = encodeCursor(qhash, page.Next)
+		next = encodeCursor(qhash, page.Next)
 	}
-	for _, row := range page.Rows {
-		jr := make([]itemJSON, len(row))
-		for i, item := range row {
-			jr[i] = itemJSON{
-				OID:    uint64(item.OID),
-				Name:   item.Name,
-				Class:  item.Class,
-				Source: item.Source,
-				Path:   item.Path,
-				URI:    item.URI,
-			}
-		}
-		resp.Rows = append(resp.Rows, jr)
+	buf := bodyPool.Get().(*[]byte)
+	*buf = appendQueryResponse((*buf)[:0], page, next)
+	writeBody(w, http.StatusOK, *buf)
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request, e *entry) {
@@ -588,10 +557,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// writeJSON answers with v encoded as encoding/json's Encoder would
+// write it. v is always a map of plain values, which cannot fail to
+// marshal.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	b, _ := json.Marshal(v)
+	writeBody(w, code, append(b, '\n'))
+}
+
+// writeBody sends body as the whole response in one Write under its
+// Content-Length, so no response is chunked.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {

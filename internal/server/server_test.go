@@ -258,8 +258,11 @@ func TestQuerySlotThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Slow client: the request body arrives... eventually.
+	// Slow client: the request body arrives... eventually. Cleanups run
+	// last-registered first, so a failure below closes the pipe before
+	// the test server's Close waits for the request to finish.
 	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() })
 	req, err := http.NewRequest("POST", c.base+"/v1/t/slow/query", pr)
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +540,7 @@ func TestHealthAndDebugSurface(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
-	if err := seedTenant(c, "dbg", "dbgmark", 2); err != nil {
+	if err := seedTenant(c, "dbg", "dbgmark", 40); err != nil {
 		t.Fatal(err)
 	}
 	prom, err := c.hc.Get(c.base + "/debug/metrics/prom")
@@ -546,9 +549,25 @@ func TestHealthAndDebugSurface(t *testing.T) {
 	}
 	defer prom.Body.Close()
 	b, _ := io.ReadAll(prom.Body)
-	for _, series := range []string{"srv_requests_total", "srv_tenants_open", "srv_tenant_opens_total"} {
+	for _, series := range []string{"srv_requests_total", "srv_tenants_open", "srv_tenant_opens_total", "srv_tenant_dbg_requests_total"} {
 		if !strings.Contains(string(b), series) {
 			t.Errorf("prom exposition missing %s", series)
+		}
+	}
+
+	// Every response, a /query page or an error, is one body under its
+	// Content-Length, never chunked (net/http chunks a body it has to
+	// flush before the handler returns: one over 2 KB when unsized).
+	for _, body := range []string{`{"q":"\"dbgmark\""}`, `{"q":""}`} {
+		resp, err := c.hc.Post(c.base+"/v1/t/dbg/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.ContentLength != int64(len(b)) || len(resp.TransferEncoding) > 0 {
+			t.Errorf("%s: status %d, Content-Length %d, transfer encoding %v, body %d bytes",
+				body, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(b))
 		}
 	}
 }

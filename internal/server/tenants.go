@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	idm "repro"
+	"repro/internal/obs"
 )
 
 // tenantNameRE is the allowed tenant-name shape: it is used as a
@@ -57,8 +58,9 @@ type entry struct {
 	// qsem bounds concurrent queries per tenant (admission control).
 	qsem chan struct{}
 
-	// requests counts this tenant's requests (srv_tenant_* metric).
-	requests int64
+	// requests counts this tenant's requests
+	// (srv_tenant_<name>_requests_total).
+	requests *obs.Counter
 }
 
 // tenantTable is the open-tenant registry: map + LRU list + in-flight
@@ -123,6 +125,8 @@ func (t *tenantTable) acquire(name string) (*entry, error) {
 			gone:  make(chan struct{}),
 			refs:  1,
 			qsem:  make(chan struct{}, t.srv.cfg.Quota.MaxConcurrentQueries),
+
+			requests: t.srv.metrics.Counter("srv_tenant_" + name + "_requests_total"),
 		}
 		e.elem = t.lru.PushFront(e)
 		t.open[name] = e

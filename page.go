@@ -13,11 +13,14 @@ import (
 // cachedResult is the one shape a query answer takes between the engine
 // and the facade's callers, and what the query cache holds: the engine's
 // OID rows as evaluated, a key order over them computed once, and a
-// per-row memo of catalog-resolved items filled on first touch. Resource
-// views are lazy (§2 of the paper: a component is computed when somebody
-// asks for it); so is their resolution here — a page resolves the rows
-// it returns and nothing else, and a row is resolved at most once for
-// as long as the entry lives.
+// per-row memo of catalog-resolved items filled on first touch, and a
+// per-row memo of their encoded bytes (Page.AppendRows). Resource views
+// are lazy (§2 of the paper: a component is computed when somebody asks
+// for it); so is their resolution and encoding here — a page resolves
+// and encodes the rows it returns and nothing else, and a row is
+// resolved and encoded at most once for as long as the entry lives
+// (two pages racing to encode the same new row may both do so; the
+// memo keeps one).
 type cachedResult struct {
 	// r is the engine's answer; immutable.
 	r *iql.Result
@@ -33,7 +36,15 @@ type cachedResult struct {
 	ordered bool
 	// full is the fully resolved Result Query hands out.
 	full *Result
+	// enc memoizes encoded rows by key order position: the row at
+	// position pos encodes to encBuf[enc[pos].off:enc[pos].end], an
+	// empty span until encoded. enc reaches only as far as pages have;
+	// encBuf only grows, so a span stays valid for the entry's lifetime.
+	enc    []encSpan
+	encBuf []byte
 }
+
+type encSpan struct{ off, end int }
 
 func (s *System) newCachedResult(r *iql.Result) *cachedResult {
 	c := &cachedResult{r: r}
@@ -93,14 +104,13 @@ func (c *cachedResult) resolve(s *System, i int, rs *resolver) Row {
 }
 
 // page returns up to limit rows (all of them when limit <= 0) strictly
-// after the key `after` in key order, and the key of the last one when
-// more follow.
-func (c *cachedResult) page(s *System, after []OID, limit int) (rows []Row, next []OID) {
+// after the key `after` in key order, the key order position of the
+// first, and the key of the last one when more follow.
+func (c *cachedResult) page(s *System, after []OID, limit int) (rows []Row, start int, next []OID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ensureOrder(s)
 	n := len(c.r.Rows)
-	start := 0
 	if len(after) > 0 {
 		start = sort.Search(n, func(pos int) bool {
 			return slices.Compare(c.r.Rows[c.at(pos)], after) > 0
@@ -118,7 +128,7 @@ func (c *cachedResult) page(s *System, after []OID, limit int) (rows []Row, next
 	if end < n && end > start {
 		next = c.r.Rows[c.at(end-1)]
 	}
-	return rows, next
+	return rows, start, next
 }
 
 // result returns the fully resolved Result, in the engine's row order,
@@ -175,6 +185,90 @@ type Page struct {
 	// Stats is the accounting of the evaluation that produced the
 	// result; CacheHit and ElapsedNs describe this call.
 	Stats QueryStats
+
+	// c is the cached result the page was cut from, and start the key
+	// order position of Rows[0] in it; c is nil for a Page built by
+	// hand.
+	c     *cachedResult
+	start int
+}
+
+// AppendRows appends enc's encoding of each of the page's rows, in
+// order, to dst and returns the extended slice. The encoding of a row is
+// memoized on the cached result behind the page, like its resolution:
+// enc runs once per row for as long as the entry lives, a repeated page
+// copies bytes, and a change to the dataspace retires the entry together
+// with its encoded rows. enc must therefore be a pure function of the
+// row, and the same function on every call against one System. A Page
+// not returned by QueryPage has no memo; its rows are encoded on every
+// call.
+func (p *Page) AppendRows(dst []byte, enc func(dst []byte, row Row) []byte) []byte {
+	c := p.c
+	if c == nil {
+		for _, row := range p.Rows {
+			dst = enc(dst, row)
+		}
+		return dst
+	}
+	dst, missing := c.appendEncoded(dst, p.start, len(p.Rows))
+	if missing == nil {
+		return dst
+	}
+	// enc is the caller's code, so it runs outside c.mu, encoding the
+	// missing rows into dst's spare capacity until they are memoized.
+	base := len(dst)
+	ends := make([]int, len(missing))
+	for i, k := range missing {
+		dst = enc(dst, p.Rows[k])
+		ends[i] = len(dst) - base
+	}
+	c.memoizeEncoded(p.start, missing, dst[base:], ends)
+	dst, _ = c.appendEncoded(dst[:base], p.start, len(p.Rows))
+	return dst
+}
+
+// appendEncoded appends the memoized encodings of the n rows from key
+// order position start. When some of them are not memoized it appends
+// nothing and returns their offsets from start instead.
+func (c *cachedResult) appendEncoded(dst []byte, start, n int) ([]byte, []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if end := start + n; end > len(c.enc) {
+		c.enc = append(c.enc, make([]encSpan, end-len(c.enc))...)
+	}
+	spans := c.enc[start : start+n]
+	var missing []int
+	for k, sp := range spans {
+		if sp.end == 0 {
+			missing = append(missing, k)
+		}
+	}
+	if missing != nil {
+		return dst, missing
+	}
+	for _, sp := range spans {
+		dst = append(dst, c.encBuf[sp.off:sp.end]...)
+	}
+	return dst, nil
+}
+
+// memoizeEncoded memoizes the rows at offsets ks from key order
+// position start, given encoded back to back in b with the i-th ending
+// at ends[i]; appendEncoded has grown enc over them. A row memoized
+// meanwhile keeps its first encoding.
+func (c *cachedResult) memoizeEncoded(start int, ks []int, b []byte, ends []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.encBuf = slices.Grow(c.encBuf, len(b))
+	from := 0
+	for i, k := range ks {
+		if sp := &c.enc[start+k]; sp.end == 0 {
+			off := len(c.encBuf)
+			c.encBuf = append(c.encBuf, b[from:ends[i]]...)
+			*sp = encSpan{off, len(c.encBuf)}
+		}
+		from = ends[i]
+	}
 }
 
 // QueryPage evaluates q like Query but resolves and returns a single
@@ -190,14 +284,15 @@ type Page struct {
 // The result behind the page is cached per dataspace version exactly as
 // for Query, and the two share entries. The key order is computed once
 // per entry and a row is resolved against the catalog the first time a
-// page (or Query) returns it, so repeating a page does neither.
+// page (or Query) returns it, so repeating a page does neither; see
+// AppendRows for the same memo over a row's encoding.
 func (s *System) QueryPage(q string, after []OID, limit int) (*Page, error) {
 	start := time.Now()
 	c, hit, err := s.cachedQuery(q, start)
 	if err != nil {
 		return nil, err
 	}
-	rows, next := c.page(s, after, limit)
+	rows, pos, next := c.page(s, after, limit)
 	p := &Page{
 		Columns: c.r.Columns,
 		Rows:    rows,
@@ -205,6 +300,8 @@ func (s *System) QueryPage(q string, after []OID, limit int) (*Page, error) {
 		Next:    next,
 		Stale:   c.stale(),
 		Stats:   c.r.Stats,
+		c:       c,
+		start:   pos,
 	}
 	p.Stats.CacheHit = hit
 	s.finishQuery(q, c, hit, start, &p.Stats)

@@ -1,6 +1,7 @@
 package idm_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -386,6 +387,11 @@ func TestQueryPageConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					// The memoized encoding is the one of this page's rows.
+					if got, want := p.AppendRows(nil, encodeRow), (&idm.Page{Rows: p.Rows}).AppendRows(nil, encodeRow); !bytes.Equal(got, want) {
+						t.Errorf("limit %d: AppendRows gave %q, the page's rows encode to %q", limit, got, want)
+						return
+					}
 					for _, row := range p.Rows {
 						if row[0].OID <= last {
 							t.Errorf("limit %d: OID %d not strictly after %d", limit, row[0].OID, last)
@@ -517,5 +523,151 @@ func TestQueryPageResolvesOnlyThePage(t *testing.T) {
 		if !strings.Contains(string(body), name) {
 			t.Errorf("/debug/metrics does not show %s", name)
 		}
+	}
+}
+
+// encodeRow is a pure row encoder for Page.AppendRows.
+func encodeRow(dst []byte, row idm.Row) []byte {
+	for _, it := range row {
+		dst = fmt.Appendf(dst, "%d %s;", it.OID, it.Path)
+	}
+	return append(dst, '\n')
+}
+
+// memDocs builds an in-memory dataspace over one file system of n
+// documents matching "pagedoc", and returns both.
+func memDocs(t *testing.T, n int) (*idm.System, *idm.FS) {
+	t.Helper()
+	fs := idm.NewFileSystem()
+	fs.MkdirAll("/docs")
+	for i := 0; i < n; i++ {
+		fs.WriteFile(fmt.Sprintf("/docs/doc%03d.txt", i), []byte(fmt.Sprintf("doc %03d carries pagedoc", i)))
+	}
+	sys := idm.Open(idm.Config{Now: fixedNow})
+	t.Cleanup(func() { sys.Close() })
+	if err := sys.AddFileSystem("docs", fs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Index(); err != nil {
+		t.Fatal(err)
+	}
+	return sys, fs
+}
+
+// TestQueryPageEncodesOnce pins the encoding memo's cost: the first
+// page encodes its rows once each, and the same page again resolves
+// and encodes nothing (idm_items_resolved_total stays put) while
+// returning the same bytes. A longer page from the same start encodes
+// only its new rows.
+func TestQueryPageEncodesOnce(t *testing.T) {
+	sys, _ := memDocs(t, 30)
+	const q = `"pagedoc"`
+	calls := 0
+	enc := func(dst []byte, row idm.Row) []byte {
+		calls++
+		return encodeRow(dst, row)
+	}
+	resolved := func() int64 { return sys.Metrics().Snapshot().Counters["idm_items_resolved_total"] }
+
+	first, err := sys.QueryPage(q, nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.AppendRows(nil, enc)
+	if calls != 10 {
+		t.Fatalf("first page: %d rows encoded, want 10", calls)
+	}
+	calls = 0
+	before := resolved()
+	again, err := sys.QueryPage(q, nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.AppendRows(nil, enc); !bytes.Equal(got, want) {
+		t.Fatalf("warm page encodes to %q, first time %q", got, want)
+	}
+	if !again.Stats.CacheHit || calls != 0 || resolved() != before {
+		t.Fatalf("warm page: hit %v, %d rows encoded, %d items resolved; want a hit that does neither",
+			again.Stats.CacheHit, calls, resolved()-before)
+	}
+	// A longer page over the same start encodes only the rows the first
+	// page did not return.
+	longer, err := sys.QueryPage(q, nil, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := longer.AppendRows(nil, enc)
+	if calls != 5 || !bytes.HasPrefix(got, want) || !bytes.Equal(got, (&idm.Page{Rows: longer.Rows}).AppendRows(nil, encodeRow)) {
+		t.Fatalf("15-row page after the 10-row one: %d rows encoded (want 5), body %q", calls, got)
+	}
+}
+
+// TestQueryPageEncodingRetiredByWrite pins the encoding memo's safety:
+// it lives and dies with the cache entry. After a write that renames a
+// returned row's file, the next page comes from a new entry and every
+// one of its rows is encoded afresh — the encoder stamps a generation
+// into each row, and no row of the earlier generation comes back — so
+// the renamed path is there and the old one is not.
+func TestQueryPageEncodingRetiredByWrite(t *testing.T) {
+	sys, fs := memDocs(t, 12)
+	const q = `"pagedoc"`
+	gen := 0
+	enc := func(dst []byte, row idm.Row) []byte {
+		return encodeRow(fmt.Appendf(dst, "gen%d ", gen), row)
+	}
+	p, err := sys.QueryPage(q, nil, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := string(p.AppendRows(nil, enc))
+	if !strings.Contains(before, "/docs/doc001.txt") {
+		t.Fatalf("setup: first page %q does not hold doc001", before)
+	}
+
+	if err := fs.Remove("/docs/doc001.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteFile("/docs/renamed.txt", []byte("doc 001 carries pagedoc")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Index(); err != nil {
+		t.Fatal(err)
+	}
+	gen = 1
+	p, err = sys.QueryPage(q, nil, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats.CacheHit {
+		t.Fatal("page after the write was served from the old entry")
+	}
+	after := string(p.AppendRows(nil, enc))
+	if n := strings.Count(after, "gen1 "); n != len(p.Rows) || strings.Contains(after, "gen0 ") {
+		t.Fatalf("after the write, %d of %d rows freshly encoded: %q", n, len(p.Rows), after)
+	}
+	if strings.Contains(after, "/docs/doc001.txt") || !strings.Contains(after, "/docs/renamed.txt") {
+		t.Fatalf("page after the rename does not show it: %q", after)
+	}
+}
+
+// TestQueryPageWarmAllocs pins what a warm 100-row page costs the
+// facade: QueryPage plus AppendRows into a reused buffer allocate a
+// small constant, whatever the page size.
+func TestQueryPageWarmAllocs(t *testing.T) {
+	sys, _ := memDocs(t, 150)
+	const q = `"pagedoc"`
+	var buf []byte
+	serve := func() {
+		p, err := sys.QueryPage(q, nil, 100)
+		if err != nil || len(p.Rows) != 100 {
+			t.Fatalf("page: %v", err)
+		}
+		buf = p.AppendRows(buf[:0], encodeRow)
+	}
+	serve()
+	// Two today: the Page and its Rows slice.
+	const maxAllocs = 4
+	if allocs := testing.AllocsPerRun(50, serve); allocs > maxAllocs {
+		t.Errorf("warm 100-row page: %.0f allocations, want at most %d", allocs, maxAllocs)
 	}
 }
