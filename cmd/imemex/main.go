@@ -67,8 +67,7 @@ func main() {
 	failClosed := flag.Bool("fail-closed", false, "reject queries while a source is degraded instead of serving stale replicas")
 	dataDir := flag.String("data-dir", "", "durable dataspace directory: WAL + snapshots, recovered on startup (docs/PERSISTENCE.md)")
 	fsync := flag.String("fsync", "commit", "with -data-dir: WAL flush policy, commit|always|never")
-	backend := flag.String("backend", "wal", "with -data-dir: storage backend, wal|compact (must match the existing directory)")
-	replicaDir := flag.String("replica-dir", "", "with -data-dir: attach a WAL-shipping read replica in this directory, on the same -backend and -fsync (docs/REPLICATION.md)")
+	replicaDir := flag.String("replica-dir", "", "with -data-dir: attach a WAL-shipping read replica in this directory, with the same -fsync (docs/REPLICATION.md)")
 	var faultRules []idm.FaultRule
 	flag.Func("fault", "inject a fault, spec point:kind[:p[:times]] (repeatable; kind error|latency[@dur]|partial|corrupt)", func(spec string) error {
 		r, err := idm.ParseFaultRule(spec)
@@ -102,11 +101,6 @@ func main() {
 		cfg.Fsync = idm.SyncNever
 	default:
 		fmt.Fprintf(os.Stderr, "imemex: unknown -fsync policy %q (commit|always|never)\n", *fsync)
-		os.Exit(2)
-	}
-	var err error
-	if cfg.Backend, err = idm.ParseStorageBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "imemex: %v\n", err)
 		os.Exit(2)
 	}
 	if len(faultRules) > 0 {
@@ -173,7 +167,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "imemex: -replica-dir requires -data-dir (the replica tails the durable WAL)")
 			os.Exit(2)
 		}
-		rep, err = idm.OpenReplica(*replicaDir, leader, idm.Config{Now: cfg.Now, Backend: cfg.Backend, Fsync: cfg.Fsync})
+		rep, err = idm.OpenReplica(*replicaDir, leader, idm.Config{Now: cfg.Now, Fsync: cfg.Fsync})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

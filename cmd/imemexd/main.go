@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	imemexd -root /var/lib/imemex [-addr :7133] [-backend wal|compact]
+//	imemexd -root /var/lib/imemex [-addr :7133]
 //	        [-fsync commit|always|never] [-max-open-tenants 32]
 //	        [-max-concurrent 256] [-quota-sources 16] [-quota-rows 1000]
-//	        [-quota-queries 4] [-tokens tokens.txt]
+//	        [-quota-queries 4] [-tokens tokens.txt] [-tenant-parallelism 1]
 //
 // The API (see docs/SERVER.md):
 //
@@ -44,7 +44,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":7133", "listen address")
 	root := flag.String("root", "", "data root directory (required); tenant t lives in <root>/t")
-	backend := flag.String("backend", "wal", "per-tenant storage backend, wal|compact")
 	fsync := flag.String("fsync", "commit", "per-tenant WAL flush policy, commit|always|never")
 	maxOpen := flag.Int("max-open-tenants", 32, "max concurrently open tenant systems (LRU-evicted beyond)")
 	maxConc := flag.Int("max-concurrent", 256, "global in-flight request cap (429 beyond)")
@@ -71,10 +70,6 @@ func main() {
 		},
 	}
 	var err error
-	if cfg.Backend, err = idm.ParseStorageBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "imemexd: %v\n", err)
-		os.Exit(2)
-	}
 	switch strings.ToLower(*fsync) {
 	case "commit", "":
 		cfg.Fsync = idm.SyncOnCommit
@@ -107,8 +102,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "imemexd serving on http://%s (root %s, backend %s, cap %d tenants)\n",
-		bound, *root, *backend, *maxOpen)
+	fmt.Fprintf(os.Stderr, "imemexd serving on http://%s (root %s, cap %d tenants)\n",
+		bound, *root, *maxOpen)
 	fmt.Fprintf(os.Stderr, "debug surface on http://%s/debug/\n", bound)
 
 	sig := make(chan os.Signal, 1)

@@ -123,29 +123,10 @@ type (
 	// RecoveryInfo reports what a durable open reconstructed: snapshot
 	// loaded, WAL records replayed, torn tails tolerated, warnings.
 	RecoveryInfo = store.RecoveryInfo
-	// StorageBackend selects the durable storage engine for
-	// Config.Backend (see docs/PERSISTENCE.md).
-	StorageBackend = storage.Backend
-	// StorageEngine is the pluggable storage contract both backends
-	// satisfy (see internal/storage).
+	// StorageEngine is the storage contract the durable store satisfies
+	// (see internal/storage).
 	StorageEngine = storage.Engine
 )
-
-// Storage backends for Config.Backend.
-const (
-	// BackendWAL (the default) is the write-optimized engine: per-source
-	// WAL segments plus atomic snapshots.
-	BackendWAL = storage.BackendWAL
-	// BackendCompact is the read-optimized engine: one immutable sorted
-	// segment per source, rebuilt by compaction, plus an append tail —
-	// suited to read-heavy replicas (OpenReplica opens its engine from
-	// Config.Backend like OpenDurable does).
-	BackendCompact = storage.BackendCompact
-)
-
-// ParseStorageBackend parses a backend name ("wal", "compact"; ""
-// selects the default) — the imemex -backend flag uses it.
-func ParseStorageBackend(s string) (StorageBackend, error) { return storage.ParseBackend(s) }
 
 // Fsync policies for Config.Fsync.
 const (
@@ -256,13 +237,6 @@ type Config struct {
 	// Fsync selects the WAL flush policy (default SyncOnCommit); only
 	// meaningful with DataDir or for OpenReplica's directory.
 	Fsync SyncPolicy
-	// Backend selects the storage engine for DataDir (default
-	// BackendWAL, the write-optimized per-source WAL store; see
-	// BackendCompact for the read-optimized compacted segment store).
-	// Only meaningful with DataDir or for OpenReplica's directory, and
-	// must match what the directory was created with. See
-	// docs/PERSISTENCE.md.
-	Backend StorageBackend
 
 	// rulePlanner pins the legacy rule-based iQL planner (fixed
 	// parallelism) in place of the cost-based adaptive one, so a test
@@ -374,7 +348,6 @@ func OpenDurable(cfg Config) (*System, *RecoveryInfo, error) {
 	}
 	reg := obs.NewRegistry()
 	st, info, err := storage.Open(cfg.DataDir, storage.Options{
-		Backend: cfg.Backend,
 		Sync:    cfg.Fsync,
 		Metrics: reg,
 		Faults:  cfg.Faults,

@@ -626,9 +626,9 @@ func timeBatch(e *iql.Engine, src string, iters int) (int64, error) {
 }
 
 // benchQueries measures every Table 4 query in the three lanes (serial,
-// forced-parallel, planner-adaptive), checking result equality across
-// all of them as it goes.
-func benchQueries(s *Setup, runs, parallelism int) ([]BenchQuery, error) {
+// forced-parallel, planner-adaptive) over reps timing repetitions,
+// checking result equality across all of them as it goes.
+func benchQueries(s *Setup, runs, parallelism, reps int) ([]BenchQuery, error) {
 	lanes := []*iql.Engine{
 		s.EngineWith(iql.ForwardExpansion, 1),
 		s.EngineWith(iql.ForwardExpansion, parallelism),
@@ -665,7 +665,7 @@ func benchQueries(s *Setup, runs, parallelism int) ([]BenchQuery, error) {
 		// whichever lane follows the heavy forced-parallel batch a
 		// systematic penalty (scheduler and allocator state leak across
 		// batches even with a forced GC between them).
-		for rep := 0; rep < benchReps; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			for k := range lanes {
 				i := (rep + k) % len(lanes)
 				ns, err := timeBatch(lanes[i], q.IQL, iters[i])
@@ -705,6 +705,11 @@ func benchQueries(s *Setup, runs, parallelism int) ([]BenchQuery, error) {
 // the cost-based adaptive engine, checking result equality between the
 // three as it goes.
 func BenchIQL(s *Setup, runs, parallelism int) (*BenchReport, error) {
+	return benchIQL(s, runs, parallelism, benchReps)
+}
+
+// benchIQL is BenchIQL with reps timing repetitions per lane.
+func benchIQL(s *Setup, runs, parallelism, reps int) (*BenchReport, error) {
 	if runs <= 0 {
 		runs = 10
 	}
@@ -721,7 +726,7 @@ func BenchIQL(s *Setup, runs, parallelism int) (*BenchReport, error) {
 		Parallelism:   parallelism,
 		Runs:          runs,
 	}
-	queries, err := benchQueries(s, runs, parallelism)
+	queries, err := benchQueries(s, runs, parallelism, reps)
 	if err != nil {
 		return nil, err
 	}
@@ -746,7 +751,7 @@ func BenchIQLAtScale(scale float64, seed int64, runs, parallelism int) (*ScaleSe
 	if err := s.Index(); err != nil {
 		return nil, err
 	}
-	queries, err := benchQueries(s, runs, parallelism)
+	queries, err := benchQueries(s, runs, parallelism, benchReps)
 	if err != nil {
 		return nil, err
 	}

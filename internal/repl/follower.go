@@ -23,9 +23,9 @@ var ErrCrashed = store.ErrCrashed
 
 // Log is the slice of the storage engine a follower writes through:
 // append at the leader's LSN, flush once per batch, install a full-state
-// image. Both backends satisfy it via storage.Engine; like LogSource it
-// keeps repl off any concrete engine. Recovery, torn-tail truncation,
-// the directory lock, the shadow state and its digest are the engine's.
+// image. storage.Engine satisfies it; like LogSource it keeps repl off
+// any concrete engine. Recovery, torn-tail truncation, the directory
+// lock, the shadow state and its digest are the engine's.
 type Log interface {
 	// AppendAt logs rec at lsn; it refuses an lsn below NextLSN().
 	AppendAt(source string, lsn uint64, rec store.Record) error

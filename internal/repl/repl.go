@@ -63,10 +63,9 @@ type Transport interface {
 }
 
 // LogSource is the slice of the storage engine a leader ships from —
-// the LSN-ordered tail plus the full-state fallback. Both storage
-// backends (the WAL store and the compacted segment store) satisfy it
-// via storage.Engine; repl depends only on this surface, never on a
-// concrete engine.
+// the LSN-ordered tail plus the full-state fallback. storage.Engine
+// satisfies it; repl depends only on this surface, never on a concrete
+// engine.
 type LogSource interface {
 	// TailSince returns every record with LSN > fromLSN in global-LSN
 	// order plus the next LSN; ok is false when compaction dropped the

@@ -58,7 +58,7 @@ func seedLeader(t *testing.T, st *store.Store, n, base int) {
 	}
 }
 
-// OpenFollower opens a WAL-backend engine on dir and puts a follower on
+// OpenFollower opens the storage engine on dir and puts a follower on
 // it: what idm.OpenReplica does, minus the rvm replay target.
 func OpenFollower(dir string, opts FollowerOptions) (*Follower, store.RecoveryInfo, error) {
 	eng, info, err := store.Open(dir, store.Options{})

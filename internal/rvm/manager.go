@@ -61,8 +61,9 @@ type Options struct {
 	// Store is the durability layer: when set, every replica commit
 	// (view upserts, group-edge commits, removals) is written to its
 	// log before being applied in memory, and RemoveSource drops the
-	// source's persisted segments. Any storage.Engine backend works;
-	// nil keeps the dataspace in-memory only. See docs/PERSISTENCE.md.
+	// source's persisted segments. Any storage.Engine works (tests
+	// fake it); nil keeps the dataspace in-memory only. See
+	// docs/PERSISTENCE.md.
 	Store storage.Engine
 }
 

@@ -48,8 +48,6 @@ type Quota struct {
 type Config struct {
 	// Root is the data root; tenant t lives in Root/t.
 	Root string
-	// Backend selects the per-tenant storage engine (default wal).
-	Backend idm.StorageBackend
 	// Fsync selects the per-tenant WAL flush policy.
 	Fsync idm.SyncPolicy
 	// MaxOpenTenants caps concurrently open tenant Systems; the least
@@ -102,7 +100,19 @@ type Server struct {
 	mux     *http.ServeMux
 	closed  atomic.Bool
 	start   time.Time
+
+	// Serve's socket bounds (readHeaderTimeout, idleTimeout); tests
+	// lower them.
+	readHeaderTimeout, idleTimeout time.Duration
 }
+
+// Socket bounds for Serve: a client that has not finished its request
+// headers, or leaves a keep-alive connection idle, this long is
+// disconnected and gives back its goroutine and file descriptor.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // New builds a Server over cfg.Root (created if missing).
 func New(cfg Config) (*Server, error) {
@@ -133,6 +143,9 @@ func New(cfg Config) (*Server, error) {
 		metrics: reg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		start:   time.Now(),
+
+		readHeaderTimeout: readHeaderTimeout,
+		idleTimeout:       idleTimeout,
 	}
 	s.met = serverMetrics{
 		requests:        reg.Counter("srv_requests_total"),
@@ -187,7 +200,7 @@ func (s *Server) Serve(addr string) (bound string, shutdown func(), err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: s}
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: s.readHeaderTimeout, IdleTimeout: s.idleTimeout}
 	go hs.Serve(ln)
 	return ln.Addr().String(), func() {
 		hs.Close()

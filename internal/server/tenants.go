@@ -289,7 +289,6 @@ func (s *Server) openTenant(name string) (*idm.System, error) {
 	}
 	sys, _, err := idm.OpenDurable(idm.Config{
 		DataDir:      dir,
-		Backend:      s.cfg.Backend,
 		Fsync:        s.cfg.Fsync,
 		Faults:       s.cfg.Faults,
 		Parallelism:  par,

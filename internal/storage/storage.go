@@ -1,36 +1,19 @@
-// Package storage is the pluggable storage-engine seam between the
-// Resource View Manager and the durability layer. It defines the Engine
-// interface every backend satisfies — the append/tail/snapshot/install/
-// drop/digest contract the RVM persist path, the facade and both ends of
-// replication (the leader ships from an engine, the follower logs into
-// one) are written against — and a factory that selects a backend for a
-// data directory.
-//
-// Two backends ship today:
-//
-//   - BackendWAL (internal/store): checksummed per-source WAL segments
-//     merged by global LSN plus atomic snapshots. The write-optimized
-//     default.
-//   - BackendCompact (compact.go): one immutable, sorted, checksummed
-//     segment file per source, rebuilt by snapshot-compaction, plus a
-//     single append tail. Read-optimized; cold starts scan per-source
-//     segments in ascending-OID order, which feeds the counting bulk
-//     index build directly.
-//
-// Both backends share the record, frame and snapshot formats of
-// internal/store, its one frame-append sequence (store.WriteFrame), the
-// fault-injection points (the crash matrix runs unchanged against
-// either), the exclusive data-dir lock, and the replication surfaces
-// (internal/repl ships from either and follows into either). The
-// conformance suite (conformance_test.go) pins the shared semantics.
-// See docs/PERSISTENCE.md.
+// Package storage is the storage-engine seam between the Resource View
+// Manager and the durability layer. It defines the Engine interface —
+// the append/tail/snapshot/install/drop/digest contract the RVM persist
+// path, the facade and both ends of replication (the leader ships from
+// an engine, the follower logs into one) are written against — and Open,
+// which opens the one engine for a data directory: internal/store's
+// checksummed per-source WAL segments merged by global LSN plus atomic
+// snapshots. Tests fake the seam (a recording Engine) to pin what the
+// RVM writes. The conformance suite (conformance_test.go) pins the
+// contract. See docs/PERSISTENCE.md.
 package storage
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/fault"
@@ -38,46 +21,20 @@ import (
 	"repro/internal/store"
 )
 
-// Backend selects a storage engine implementation.
+// Backend named a storage engine when there were two.
+//
+// Deprecated: ignored; Open always opens the WAL+snapshot engine.
 type Backend int
 
-const (
-	// BackendWAL is the write-optimized default: per-source WAL segments
-	// plus atomic snapshots (internal/store).
-	BackendWAL Backend = iota
-	// BackendCompact is the read-optimized engine: one immutable sorted
-	// segment per source, rebuilt by compaction, plus an append tail.
-	BackendCompact
-)
+// BackendCompact named the removed compacted-segment engine.
+//
+// Deprecated: ignored; Open always opens the WAL+snapshot engine.
+const BackendCompact Backend = 1
 
-// String renders the backend name ParseBackend accepts.
-func (b Backend) String() string {
-	switch b {
-	case BackendWAL:
-		return "wal"
-	case BackendCompact:
-		return "compact"
-	default:
-		return fmt.Sprintf("backend(%d)", int(b))
-	}
-}
-
-// ParseBackend parses a backend name; "" selects the default (wal).
-func ParseBackend(s string) (Backend, error) {
-	switch strings.ToLower(s) {
-	case "", "wal":
-		return BackendWAL, nil
-	case "compact":
-		return BackendCompact, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown backend %q (wal|compact)", s)
-	}
-}
-
-// Options tunes an engine; the non-Backend fields carry the same
-// semantics as store.Options.
+// Options tunes an engine; the fields carry the semantics of
+// store.Options.
 type Options struct {
-	// Backend selects the engine implementation (default BackendWAL).
+	// Deprecated: ignored; Open always opens the WAL+snapshot engine.
 	Backend Backend
 	// Sync selects the fsync policy (default store.SyncOnCommit).
 	Sync store.SyncPolicy
@@ -89,12 +46,11 @@ type Options struct {
 	Faults *fault.Injector
 }
 
-// Engine is the storage contract every backend satisfies. All methods
-// are safe for concurrent use, and every implementation shares the
-// recovery contract of internal/store: recover the last good prefix,
-// truncate torn tails with a warning, never panic on corrupt input, and
-// refuse every operation with store.ErrCrashed after an injected crash
-// or unrecoverable I/O error.
+// Engine is the storage contract. All methods are safe for concurrent
+// use, and the engine keeps the recovery contract of internal/store:
+// recover the last good prefix, truncate torn tails with a warning,
+// never panic on corrupt input, and refuse every operation with
+// store.ErrCrashed after an injected crash or unrecoverable I/O error.
 type Engine interface {
 	// Append logs one record for source (source "" targets the engine's
 	// meta stream), applies it to the shadow state, and fsyncs according
@@ -118,8 +74,8 @@ type Engine interface {
 	// pinning the OID counter) is committed so the source's views never
 	// resurrect, and its per-source storage is deleted.
 	DropSource(source string, nextOID catalog.OID) error
-	// Snapshot compacts the durable state (WAL: snapshot + truncate;
-	// compact: rewrite per-source segments + truncate the tail).
+	// Snapshot compacts the durable state: a snapshot is written and
+	// the log below it truncated.
 	Snapshot() error
 	// SnapshotSeq identifies the newest compaction (0 = none yet);
 	// monotonically increasing.
@@ -150,59 +106,23 @@ type Engine interface {
 	Close() error
 }
 
-// Both backends satisfy the contract.
-var (
-	_ Engine = (*store.Store)(nil)
-	_ Engine = (*CompactStore)(nil)
-)
+var _ Engine = (*store.Store)(nil)
 
-// Open opens (creating if needed) the engine selected by opts.Backend
-// at dir and recovers its state. Open takes an exclusive lock on the
-// directory — a second open of the same dir fails until the first
-// engine closes or its process dies — and refuses a directory the
-// other backend created: the layouts are disjoint, so a mismatched
-// open would silently start empty next to the existing data.
+// Open opens (creating if needed) the engine at dir and recovers its
+// state. Open takes an exclusive lock on the directory — a second open
+// of the same dir fails until the first engine closes or its process
+// dies. It refuses a directory written by the removed compact backend:
+// none of its files is read by this engine, so opening it would lock
+// the directory and report an empty dataspace next to the existing
+// data.
 func Open(dir string, opts Options) (Engine, store.RecoveryInfo, error) {
-	if err := checkLayout(dir, opts.Backend); err != nil {
-		return nil, store.RecoveryInfo{}, err
+	if _, err := os.Stat(filepath.Join(dir, "compact")); err == nil {
+		return nil, store.RecoveryInfo{}, fmt.Errorf(
+			"storage: %s was written by the compact backend, which was removed; there is no migration (re-create the dataspace from its sources)", dir)
 	}
-	switch opts.Backend {
-	case BackendCompact:
-		c, info, err := OpenCompact(dir, opts)
-		if err != nil {
-			return nil, info, err
-		}
-		return c, info, nil
-	default:
-		s, info, err := store.Open(dir, store.Options{Sync: opts.Sync, Metrics: opts.Metrics, Faults: opts.Faults})
-		if err != nil {
-			return nil, info, err
-		}
-		return s, info, nil
+	s, info, err := store.Open(dir, store.Options{Sync: opts.Sync, Metrics: opts.Metrics, Faults: opts.Faults})
+	if err != nil {
+		return nil, info, err
 	}
-}
-
-// checkLayout refuses to open dir with backend b when the directory
-// holds the other backend's layout (the compact backend's "compact"
-// subdirectory vs. the WAL backend's "wal" subdirectory or snapshot
-// files). Without this a mismatched -backend flag would lock the
-// directory, see none of the existing files, and report an empty
-// dataspace — indistinguishable from data loss.
-func checkLayout(dir string, b Backend) error {
-	has := func(name string) bool {
-		_, err := os.Stat(filepath.Join(dir, name))
-		return err == nil
-	}
-	switch b {
-	case BackendCompact:
-		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-		if has("wal") || len(snaps) > 0 {
-			return fmt.Errorf("storage: %s was created by the wal backend; reopen it with Backend=wal", dir)
-		}
-	default:
-		if has("compact") {
-			return fmt.Errorf("storage: %s was created by the compact backend; reopen it with Backend=compact", dir)
-		}
-	}
-	return nil
+	return s, info, nil
 }

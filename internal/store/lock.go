@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// LockFileName is the advisory-lock file every storage backend creates
-// at the root of its data directory. The lock is exclusive: a second
-// process (or a second engine in the same process) opening the same
-// directory fails immediately instead of corrupting the log behind the
-// first one's back.
+// LockFileName is the advisory-lock file the store creates at the root
+// of its data directory. The lock is exclusive: a second process (or a
+// second store in the same process) opening the same directory fails
+// immediately instead of corrupting the log behind the first one's
+// back.
 const LockFileName = "LOCK"
 
 // DirLock is a held exclusive lock on a data directory. The zero value

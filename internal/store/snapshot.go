@@ -113,7 +113,7 @@ func writeSnapshotFile(dir string, seq uint64, img []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return SyncDir(dir)
+	return syncDir(dir)
 }
 
 // listSnapshots returns the snapshot sequence numbers present in dir,
@@ -139,11 +139,12 @@ func listSnapshots(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// SyncDir fsyncs a directory, making the renames and unlinks inside it
-// durable against power loss. Both engines crash on failure wherever
-// their crash-ordering argument needs one batch of directory operations
-// on disk before the next begins.
-func SyncDir(dir string) error {
+// syncDir fsyncs a directory, making the creates, renames and unlinks
+// inside it durable against power loss. The store crashes on failure
+// wherever its crash-ordering argument needs one batch of directory
+// operations on disk before the next begins. A variable so a test can
+// count the calls.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

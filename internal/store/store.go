@@ -168,8 +168,16 @@ func Open(dir string, opts Options) (*Store, RecoveryInfo, error) {
 		nextLSN:  1,
 		segments: make(map[string]*os.File),
 	}
+	_, statErr := os.Stat(s.walDir)
 	if err := os.MkdirAll(s.walDir, 0o755); err != nil {
 		return nil, RecoveryInfo{}, err
+	}
+	// A wal/ directory this open created must be on disk before any
+	// record inside it is acknowledged.
+	if os.IsNotExist(statErr) && opts.Sync != SyncNever {
+		if err := syncDir(dir); err != nil {
+			return nil, RecoveryInfo{}, err
+		}
 	}
 	lock, err := AcquireDirLock(dir)
 	if err != nil {
@@ -317,9 +325,23 @@ func (s *Store) segment(source string) (*os.File, error) {
 	if f, ok := s.segments[name]; ok {
 		return f, nil
 	}
-	f, err := os.OpenFile(filepath.Join(s.walDir, name), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	path := filepath.Join(s.walDir, name)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_APPEND|os.O_WRONLY, 0o644)
+	created := err == nil
+	if os.IsExist(err) {
+		f, err = os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	}
 	if err != nil {
 		return nil, err
+	}
+	// A segment this call created must be on disk before the record
+	// about to go into it is acknowledged: fsyncing the file alone does
+	// not make its directory entry durable.
+	if created && s.opts.Sync != SyncNever {
+		if err := syncDir(s.walDir); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	s.segments[name] = f
 	return f, nil
@@ -370,7 +392,7 @@ func (s *Store) appendLocked(source string, lsn uint64, rec Record) error {
 	if err != nil {
 		return s.crash(err)
 	}
-	synced, err := WriteFrame(f, s.state, frame, s.opts.Sync, s.opts.Faults)
+	synced, err := writeFrame(f, s.state, frame, s.opts.Sync, s.opts.Faults)
 	if err != nil {
 		return s.crash(err)
 	}
@@ -425,7 +447,7 @@ func (s *Store) DropSource(source string, nextOID catalog.OID) error {
 	if err := os.Remove(filepath.Join(s.walDir, name)); err != nil && !os.IsNotExist(err) {
 		return s.crash(err)
 	}
-	if err := SyncDir(s.walDir); err != nil {
+	if err := syncDir(s.walDir); err != nil {
 		return s.crash(err)
 	}
 	return nil
@@ -510,7 +532,7 @@ func (s *Store) compactLocked(st *State, nextLSN uint64) error {
 			}
 		}
 	}
-	SyncDir(s.dir)
+	syncDir(s.dir)
 	s.met.snapshots.Inc()
 	s.met.snapshotNs.ObserveSince(start)
 	obs.Logger("store").Debug("snapshot written", "seq", seq,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -334,4 +335,86 @@ func TestReplay100k(t *testing.T) {
 		t.Fatalf("recovery of %d records took %v, want < 2s", n, elapsed)
 	}
 	t.Logf("replayed %d records in %v", n, elapsed)
+}
+
+// TestNewSegmentSyncsDirectory pins the durability of a new file's name:
+// creating wal/ or a segment inside it fsyncs the parent directory
+// (unless the policy is SyncNever), once per creation — fsyncing the
+// file alone leaves an acknowledged record's file to a power cut.
+func TestNewSegmentSyncsDirectory(t *testing.T) {
+	var synced []string
+	orig := syncDir
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return orig(dir)
+	}
+	defer func() { syncDir = orig }()
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(synced) != fmt.Sprint(want) {
+			t.Fatalf("%s: directory fsyncs %v, want %v", step, synced, want)
+		}
+		synced = nil
+	}
+	edges := func(source string) Record {
+		return Record{Kind: KindEdges, Source: source, Edges: []EdgeList{{Parent: 1}}}
+	}
+
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "wal")
+	s, _ := mustOpen(t, dir, Options{})
+	expect("open creates wal/", dir)
+	for _, step := range []struct {
+		name   string
+		source string
+		want   []string
+	}{
+		{"first record of fs", "fs", []string{wal}},
+		{"second record of fs", "fs", nil},
+		{"first meta record", "", []string{wal}},
+		{"first record of mail", "mail", []string{wal}},
+		{"second record of mail", "mail", nil},
+	} {
+		if err := s.Append(step.source, edges(step.source)); err != nil {
+			t.Fatal(err)
+		}
+		expect(step.name, step.want...)
+	}
+	// Snapshot deletes the segments; the next record re-creates one.
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	synced = nil
+	if err := s.Append("fs", edges("fs")); err != nil {
+		t.Fatal(err)
+	}
+	expect("first record after a snapshot", wal)
+	s.Close()
+
+	// Reopening an existing directory creates nothing.
+	s, _ = mustOpen(t, dir, Options{})
+	if err := s.Append("fs", edges("fs")); err != nil {
+		t.Fatal(err)
+	}
+	expect("append to a recovered segment")
+	s.Close()
+
+	// SyncNever leaves flushing to the OS, directories included.
+	s, _ = mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+	if err := s.Append("fs", edges("fs")); err != nil {
+		t.Fatal(err)
+	}
+	expect("SyncNever")
+	s.Close()
+
+	// A failed directory fsync crashes the store, as DropSource's does.
+	s, _ = mustOpen(t, t.TempDir(), Options{})
+	syncDir = func(string) error { return fmt.Errorf("injected dir fsync failure") }
+	if err := s.Append("fs", edges("fs")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("failed dir fsync surfaced %v, want ErrCrashed", err)
+	}
+	if err := s.Append("fs", edges("fs")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("store alive after a failed dir fsync: %v", err)
+	}
+	s.Close()
 }

@@ -43,14 +43,14 @@ func AppendFrame(b []byte, lsn uint64, rec Record) ([]byte, error) {
 	return encodeFrame(b, lsn, rec)
 }
 
-// WriteFrame is the one append sequence both engines run on an encoded
-// frame: consult FaultAppend and FaultTorn (which leaves half the frame
-// on disk), write the frame to f, fold the re-decoded payload into st,
-// and fsync by policy — at commit records (Edges, DropSource, Meta) under
+// writeFrame is the append sequence run on an encoded frame: consult
+// FaultAppend and FaultTorn (which leaves half the frame on disk), write
+// the frame to f, fold the re-decoded payload into st, and fsync by
+// policy — at commit records (Edges, DropSource, Meta) under
 // SyncOnCommit. It reports whether it fsynced. Every error is fatal to
-// the calling engine: f may end in a torn frame, or st may no longer be
+// the calling store: f may end in a torn frame, or st may no longer be
 // what a replay of f reconstructs.
-func WriteFrame(f *os.File, st *State, frame []byte, policy SyncPolicy, faults *fault.Injector) (synced bool, err error) {
+func writeFrame(f *os.File, st *State, frame []byte, policy SyncPolicy, faults *fault.Injector) (synced bool, err error) {
 	if err := faults.Fail(FaultAppend); err != nil {
 		return false, err
 	}

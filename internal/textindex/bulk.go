@@ -24,9 +24,8 @@ type docSpan struct {
 // counting pass — a bucket sort on term IDs into two exactly-sized
 // arenas (one []uint32 for all positions, one []posting for all
 // lists). Feeding documents in ascending DocID order (the order
-// RestoreFromState scans, and the order compacted segments store) keeps
-// each bucket naturally sorted; out-of-order feeds fall back to a
-// per-list sort. Compared with the incremental path this saves the
+// RestoreFromState scans) keeps each bucket naturally sorted;
+// out-of-order feeds fall back to a per-list sort. Compared with the incremental path this saves the
 // per-document term table, the per-term binary search and map rehash on
 // every insert, and the repeated posting-slice regrowth; the build
 // itself is sequential scans plus small dense per-term arrays.

@@ -12,16 +12,9 @@ import (
 // durableLeader runs the deterministic fixture sync on a durable System
 // and returns it (still open, ready to ship its WAL).
 func durableLeader(t *testing.T) (*idm.System, string) {
-	return durableLeaderB(t, idm.BackendWAL)
-}
-
-// durableLeaderB is durableLeader on an explicit storage backend —
-// record shipping is backend-independent, and the differential suite
-// proves it.
-func durableLeaderB(t *testing.T, backend idm.StorageBackend) (*idm.System, string) {
 	t.Helper()
 	dir := t.TempDir()
-	sys, _, err := idm.OpenDurable(durableConfigB(dir, backend, nil))
+	sys, _, err := idm.OpenDurable(durableConfig(dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,30 +27,16 @@ func rowKey(res *idm.Result) string {
 // leader and on three caught-up replicas, one per planner lane (serial
 // rule-based, forced-parallel rule-based, adaptive cost-based). Every
 // lane must return exactly the leader's rows: replication equivalence
-// must hold regardless of how the follower plans its queries. The suite
-// runs against both storage backends — shipping reads the leader's tail
-// through the same Engine interface either way — with a reduced
-// generation count on the compact lane (the record stream is identical;
-// only the tail-serving path differs).
+// must hold regardless of how the follower plans its queries.
 func TestReplicaDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-generation differential suite")
 	}
-	for _, c := range []struct {
-		backend     idm.StorageBackend
-		generations int
-	}{
-		{idm.BackendWAL, 1000},
-		{idm.BackendCompact, 200},
-	} {
-		t.Run(c.backend.String(), func(t *testing.T) {
-			replicaDifferential(t, c.backend, c.generations)
-		})
-	}
+	t.Run("wal", func(t *testing.T) { replicaDifferential(t, 1000) })
 }
 
-func replicaDifferential(t *testing.T, backend idm.StorageBackend, generations int) {
-	leaderSys, _ := durableLeaderB(t, backend)
+func replicaDifferential(t *testing.T, generations int) {
+	leaderSys, _ := durableLeader(t)
 	leader := leaderSys.ReplicationLeader()
 
 	lanes := []struct {

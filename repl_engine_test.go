@@ -1,19 +1,15 @@
 package idm_test
 
 import (
-	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	idm "repro"
-	"repro/internal/repl"
 )
 
 // These tests pin what a replica gets from logging through the same
 // storage engine a leader does: the leader's position arithmetic, its
-// directory lock, its checkpoint, either backend, and a directory any
-// System can open.
+// directory lock, its checkpoint, and a directory any System can open.
 
 // convergeQueries are the four queries TestReplicaQueriesConverge asks.
 var convergeQueries = []string{
@@ -52,48 +48,46 @@ func assertAnswersLike(t *testing.T, leaderSys *idm.System, got interface {
 // the LSN it left, or a byte-identical caught-up replica is told of a
 // write that does not exist, fails CatchUp and flags every answer stale.
 func TestReplicaNoPhantomLagAfterLeaderRestart(t *testing.T) {
-	for _, backend := range crashBackends {
-		t.Run(backend.String(), func(t *testing.T) {
-			leaderSys, leaderDir := durableLeaderB(t, backend)
-			repDir := t.TempDir()
-			rep, err := idm.OpenReplica(repDir, leaderSys.ReplicationLeader(), idm.Config{Parallelism: 1, Now: fixedNow})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.CatchUp(); err != nil {
-				t.Fatal(err)
-			}
-			applied := rep.AppliedLSN()
-			rep.Close()
+	t.Run("wal", func(t *testing.T) {
+		leaderSys, leaderDir := durableLeader(t)
+		repDir := t.TempDir()
+		rep, err := idm.OpenReplica(repDir, leaderSys.ReplicationLeader(), idm.Config{Parallelism: 1, Now: fixedNow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		applied := rep.AppliedLSN()
+		rep.Close()
 
-			if err := leaderSys.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			leaderSys.Close()
-			leaderSys, _, err = idm.OpenDurable(durableConfigB(leaderDir, backend, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer leaderSys.Close()
+		if err := leaderSys.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		leaderSys.Close()
+		leaderSys, _, err = idm.OpenDurable(durableConfig(leaderDir, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer leaderSys.Close()
 
-			rep, err = idm.OpenReplica(repDir, leaderSys.ReplicationLeader(), idm.Config{Parallelism: 1, Now: fixedNow})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rep.Close()
-			if err := rep.CatchUp(); err != nil {
-				t.Fatalf("caught-up replica of a restarted leader: %v", err)
-			}
-			if rep.Lag() != 0 || rep.AppliedLSN() != applied || rep.LeaderLSN() != applied {
-				t.Fatalf("lag %d, applied %d, leader %d; want 0, %d, %d",
-					rep.Lag(), rep.AppliedLSN(), rep.LeaderLSN(), applied, applied)
-			}
-			if rep.StateDigest() != leaderSys.StateDigest() {
-				t.Fatal("replica digest != restarted leader digest")
-			}
-			assertAnswersLike(t, leaderSys, rep)
-		})
-	}
+		rep, err = idm.OpenReplica(repDir, leaderSys.ReplicationLeader(), idm.Config{Parallelism: 1, Now: fixedNow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		if err := rep.CatchUp(); err != nil {
+			t.Fatalf("caught-up replica of a restarted leader: %v", err)
+		}
+		if rep.Lag() != 0 || rep.AppliedLSN() != applied || rep.LeaderLSN() != applied {
+			t.Fatalf("lag %d, applied %d, leader %d; want 0, %d, %d",
+				rep.Lag(), rep.AppliedLSN(), rep.LeaderLSN(), applied, applied)
+		}
+		if rep.StateDigest() != leaderSys.StateDigest() {
+			t.Fatal("replica digest != restarted leader digest")
+		}
+		assertAnswersLike(t, leaderSys, rep)
+	})
 }
 
 // TestReplicaDirLocked pins the directory lock: a second OpenReplica on
@@ -124,61 +118,59 @@ func TestReplicaDirLocked(t *testing.T) {
 // leader's: after a checkpoint a restart replays nothing, lands on the
 // same position and digest, and tailing carries on from there.
 func TestReplicaCheckpoint(t *testing.T) {
-	for _, backend := range crashBackends {
-		t.Run(backend.String(), func(t *testing.T) {
-			leaderSys, _ := durableLeader(t)
-			leader := leaderSys.ReplicationLeader()
-			dir := t.TempDir()
-			cfg := idm.Config{Parallelism: 1, Now: fixedNow, Backend: backend}
-			rep, err := idm.OpenReplica(dir, leader, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.CatchUp(); err != nil {
-				t.Fatal(err)
-			}
-			applied, digest := rep.AppliedLSN(), rep.StateDigest()
-			if err := rep.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			rep.Close()
+	t.Run("wal", func(t *testing.T) {
+		leaderSys, _ := durableLeader(t)
+		leader := leaderSys.ReplicationLeader()
+		dir := t.TempDir()
+		cfg := idm.Config{Parallelism: 1, Now: fixedNow}
+		rep, err := idm.OpenReplica(dir, leader, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		applied, digest := rep.AppliedLSN(), rep.StateDigest()
+		if err := rep.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		rep.Close()
 
-			// The directory is a data directory: the facade reports what its
-			// recovery replayed.
-			sys, info, err := idm.OpenDurable(durableConfigB(dir, backend, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.WALRecords != 0 || info.SnapshotSeq == 0 {
-				t.Fatalf("checkpointed replica replayed %d records (snapshot %d), want 0 from a snapshot",
-					info.WALRecords, info.SnapshotSeq)
-			}
-			sys.Close()
+		// The directory is a data directory: the facade reports what its
+		// recovery replayed.
+		sys, info, err := idm.OpenDurable(durableConfig(dir, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.WALRecords != 0 || info.SnapshotSeq == 0 {
+			t.Fatalf("checkpointed replica replayed %d records (snapshot %d), want 0 from a snapshot",
+				info.WALRecords, info.SnapshotSeq)
+		}
+		sys.Close()
 
-			rep, err = idm.OpenReplica(dir, leader, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rep.Close()
-			if rep.AppliedLSN() != applied || rep.StateDigest() != digest {
-				t.Fatalf("checkpoint + reopen moved the replica: applied %d -> %d, digest equal %v",
-					applied, rep.AppliedLSN(), rep.StateDigest() == digest)
-			}
-			// A further leader write is pulled and applied.
-			if err := leaderSys.RemoveSource("filesystem"); err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.CatchUp(); err != nil {
-				t.Fatal(err)
-			}
-			if rep.AppliedLSN() <= applied {
-				t.Fatalf("applied LSN %d did not advance past %d", rep.AppliedLSN(), applied)
-			}
-			if rep.StateDigest() != leaderSys.StateDigest() {
-				t.Fatal("replica diverged after the post-checkpoint pull")
-			}
-		})
-	}
+		rep, err = idm.OpenReplica(dir, leader, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		if rep.AppliedLSN() != applied || rep.StateDigest() != digest {
+			t.Fatalf("checkpoint + reopen moved the replica: applied %d -> %d, digest equal %v",
+				applied, rep.AppliedLSN(), rep.StateDigest() == digest)
+		}
+		// A further leader write is pulled and applied.
+		if err := leaderSys.RemoveSource("filesystem"); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.AppliedLSN() <= applied {
+			t.Fatalf("applied LSN %d did not advance past %d", rep.AppliedLSN(), applied)
+		}
+		if rep.StateDigest() != leaderSys.StateDigest() {
+			t.Fatal("replica diverged after the post-checkpoint pull")
+		}
+	})
 }
 
 // TestReplicaInstallThenRestart pins the applied position across a
@@ -186,126 +178,72 @@ func TestReplicaCheckpoint(t *testing.T) {
 // shipped an image, restarts, and must resume at exactly the image's
 // position — one past it and the leader's next record is skipped.
 func TestReplicaInstallThenRestart(t *testing.T) {
-	for _, backend := range crashBackends {
-		t.Run(backend.String(), func(t *testing.T) {
-			leaderSys, _ := durableLeader(t)
-			if err := leaderSys.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			leader := leaderSys.ReplicationLeader()
-			dir := t.TempDir()
-			cfg := idm.Config{Parallelism: 1, Now: fixedNow, Backend: backend}
-			rep, err := idm.OpenReplica(dir, leader, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.CatchUp(); err != nil {
-				t.Fatal(err)
-			}
-			if rep.AppliedLSN() != leader.LSN() || rep.StateDigest() != leaderSys.StateDigest() {
-				t.Fatalf("image install: applied %d (leader %d), digest equal %v",
-					rep.AppliedLSN(), leader.LSN(), rep.StateDigest() == leaderSys.StateDigest())
-			}
-			rep.Close()
+	t.Run("wal", func(t *testing.T) {
+		leaderSys, _ := durableLeader(t)
+		if err := leaderSys.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		leader := leaderSys.ReplicationLeader()
+		dir := t.TempDir()
+		cfg := idm.Config{Parallelism: 1, Now: fixedNow}
+		rep, err := idm.OpenReplica(dir, leader, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.AppliedLSN() != leader.LSN() || rep.StateDigest() != leaderSys.StateDigest() {
+			t.Fatalf("image install: applied %d (leader %d), digest equal %v",
+				rep.AppliedLSN(), leader.LSN(), rep.StateDigest() == leaderSys.StateDigest())
+		}
+		rep.Close()
 
-			rep, err = idm.OpenReplica(dir, leader, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rep.Close()
-			if rep.AppliedLSN() != leader.LSN() {
-				t.Fatalf("restart moved the applied LSN to %d, leader at %d", rep.AppliedLSN(), leader.LSN())
-			}
-			if err := leaderSys.RemoveSource("filesystem"); err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.CatchUp(); err != nil {
-				t.Fatal(err)
-			}
-			if rep.StateDigest() != leaderSys.StateDigest() {
-				t.Fatal("replica skipped a record after install + restart")
-			}
-		})
-	}
+		rep, err = idm.OpenReplica(dir, leader, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		if rep.AppliedLSN() != leader.LSN() {
+			t.Fatalf("restart moved the applied LSN to %d, leader at %d", rep.AppliedLSN(), leader.LSN())
+		}
+		if err := leaderSys.RemoveSource("filesystem"); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.StateDigest() != leaderSys.StateDigest() {
+			t.Fatal("replica skipped a record after install + restart")
+		}
+	})
 }
 
 // TestReplicaDirIsDataDir pins that nothing about a replica directory is
 // replica-specific: after CatchUp + Close, OpenDurable recovers the
 // leader's digest from it and answers like the leader.
 func TestReplicaDirIsDataDir(t *testing.T) {
-	for _, backend := range crashBackends {
-		t.Run(backend.String(), func(t *testing.T) {
-			leaderSys, _ := durableLeader(t)
-			dir := t.TempDir()
-			rep, err := idm.OpenReplica(dir, leaderSys.ReplicationLeader(),
-				idm.Config{Parallelism: 1, Now: fixedNow, Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.CatchUp(); err != nil {
-				t.Fatal(err)
-			}
-			rep.Close()
-
-			sys, _, err := idm.OpenDurable(durableConfigB(dir, backend, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Close()
-			if sys.StateDigest() != leaderSys.StateDigest() {
-				t.Fatal("OpenDurable on a replica directory recovered a different digest")
-			}
-			assertAnswersLike(t, leaderSys, sys)
-		})
-	}
-}
-
-// TestReplicaCrashMatrixCompact is TestReplicaCrashMatrix with the
-// replica on the compact backend: the follower's crash points are the
-// engine's, so the matrix holds on whichever engine Config.Backend
-// selects.
-func TestReplicaCrashMatrixCompact(t *testing.T) {
-	leaderSys, leaderDir := durableLeader(t)
-	leader := leaderSys.ReplicationLeader()
-	refFinal := leaderSys.StateDigest()
-	prefixes := walPrefixDigests(t, leaderDir)
-	n := len(prefixes) - 1
-	cfg := idm.Config{Parallelism: 1, Backend: idm.BackendCompact}
-
-	for _, point := range []string{repl.FaultApply, repl.FaultApplyTorn} {
-		for k := 1; k <= n; k++ {
-			t.Run(fmt.Sprintf("%s/record-%02d", point, k), func(t *testing.T) {
-				dir := t.TempDir()
-				crashCfg := cfg
-				crashCfg.Faults = idm.NewFaultInjector(1)
-				crashCfg.Faults.Add(idm.FaultRule{Point: point, Kind: idm.FaultError, After: k - 1, Times: 1})
-				rep, err := idm.OpenReplica(dir, leader, crashCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := rep.CatchUp(); !errors.Is(err, repl.ErrCrashed) {
-					t.Fatalf("injected crash did not kill the replica: %v", err)
-				}
-				rep.Close()
-
-				re, err := idm.OpenReplica(dir, leader, cfg)
-				if err != nil {
-					t.Fatalf("replica recovery: %v", err)
-				}
-				defer re.Close()
-				if got := re.StateDigest(); got != prefixes[k-1] {
-					t.Fatalf("recovered digest != reference prefix after %d records", k-1)
-				}
-				if got := re.AppliedLSN(); got != uint64(k-1) {
-					t.Fatalf("recovered applied LSN %d, want %d", got, k-1)
-				}
-				if err := re.CatchUp(); err != nil {
-					t.Fatalf("post-recovery catch-up: %v", err)
-				}
-				if re.StateDigest() != refFinal || re.Lag() != 0 {
-					t.Fatalf("caught-up replica diverged from leader (lag %d)", re.Lag())
-				}
-			})
+	t.Run("wal", func(t *testing.T) {
+		leaderSys, _ := durableLeader(t)
+		dir := t.TempDir()
+		rep, err := idm.OpenReplica(dir, leaderSys.ReplicationLeader(),
+			idm.Config{Parallelism: 1, Now: fixedNow})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := rep.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		rep.Close()
+
+		sys, _, err := idm.OpenDurable(durableConfig(dir, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if sys.StateDigest() != leaderSys.StateDigest() {
+			t.Fatal("OpenDurable on a replica directory recovered a different digest")
+		}
+		assertAnswersLike(t, leaderSys, sys)
+	})
 }

@@ -84,10 +84,9 @@ func (a replicaApplier) Reset(st *store.State) error {
 }
 
 // OpenReplica opens (creating if needed) the replica's data directory
-// exactly as OpenDurable would — cfg.Backend and cfg.Fsync select and
-// tune its storage engine, the directory is locked, the shipped records
-// already logged there are recovered and the catalog and indexes rebuilt
-// — and attaches a follower that feeds the engine from t. cfg.DataDir
+// exactly as OpenDurable would — cfg.Fsync tunes its storage engine,
+// the directory is locked, the shipped records already logged there are
+// recovered and the catalog and indexes rebuilt — and attaches a follower that feeds the engine from t. cfg.DataDir
 // is ignored in favour of dir. After Close the directory opens with
 // OpenDurable like any other.
 func OpenReplica(dir string, t ReplTransport, cfg Config) (*Replica, error) {
