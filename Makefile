@@ -1,4 +1,7 @@
 GO ?= go
+# The host's CPU count: the parallel benchmark lane runs at this many
+# workers, and idmbench's speedup gate refuses more than the hardware has.
+NPROC ?= $(shell nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 
 .PHONY: check test build vet bench bench-check bench-iql obs-bench fuzz-smoke repl-chaos storage-matrix load-smoke
 
@@ -25,11 +28,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# Short fuzzing pass over the iQL parser, evaluator, the
-# serial-vs-parallel differential harness, the durable store's WAL and
-# snapshot decoders, the replication shipment decoder, the daemon's
-# request decoders and its /query encoder against encoding/json, the
-# text-index analyzer against its rune-loop reference, and the text
+# Short fuzzing pass over the iQL parser, evaluator, the differential
+# harness (serial and parallel lanes against an index-free oracle), the
+# durable store's WAL and snapshot decoders, the replication shipment
+# decoder, the daemon's request decoders and its /query encoder against
+# encoding/json, the text-index analyzer against its rune-loop reference, and the text
 # index's bulk build against its incremental one (30s per target;
 # iQL seed corpora live in internal/iql/testdata/fuzz/, store corpora
 # are generated in-test). Each target must run alone: `go test -fuzz` accepts only
@@ -71,19 +74,20 @@ storage-matrix:
 repl-chaos:
 	$(GO) test -race -run 'TestReplChaos' . -args -chaos-seed=1
 
-# Planner regression gate: run the three-lane benchmark (serial,
-# forced-parallel, planner-adaptive) at the evaluation scale and at 10×,
-# and fail if the adaptive planner falls below 0.95× of serial on any
-# query — the planner must never lose to the strategy it replaces.
+# Planner regression gate: run the two-lane benchmark (serial and
+# parallel at the host's CPU count, one planner, automatic expansion) at
+# the evaluation scale and at 10×, and fail if the parallel lane falls
+# below 0.95× of serial on any query — given more cores, the planner
+# must never lose to serial execution.
 bench:
-	$(GO) run ./cmd/idmbench -exp iql -scale 0.05 -runs 10 -parallelism 8 -obsreps 0 -tenx -minspeedup 0.95
+	$(GO) run ./cmd/idmbench -exp iql -scale 0.05 -runs 10 -parallelism $(NPROC) -obsreps 0 -tenx -minspeedup 0.95
 
-# Regenerate BENCH_iql.json (three-lane engine microbenchmark at base
+# Regenerate BENCH_iql.json (two-lane engine microbenchmark at base
 # and 10x scale, the obs_overhead instrumentation-cost section, and the
-# index_build cold-start section at the paper scale; schema_version 5,
+# index_build cold-start section at the paper scale; schema_version 6,
 # see internal/experiments.BenchReport).
 bench-iql:
-	$(GO) run ./cmd/idmbench -exp iql -scale 0.05 -runs 10 -parallelism 8 -tenx -minspeedup 0.95 -ixreps 3 -ixscale 1.0 -json BENCH_iql.json
+	$(GO) run ./cmd/idmbench -exp iql -scale 0.05 -runs 10 -parallelism $(NPROC) -tenx -minspeedup 0.95 -ixreps 3 -ixscale 1.0 -json BENCH_iql.json
 
 # Re-measure only the observability overhead (obs_overhead section of
 # BENCH_iql.json) and gate it: mean disabled overhead <= 2%, mean
@@ -91,4 +95,4 @@ bench-iql:
 # gate is opt-in here rather than in scripts/check.sh because
 # percent-level timing bounds need a quiet machine.
 obs-bench:
-	$(GO) run ./cmd/idmbench -exp iql -scale 0.05 -runs 10 -parallelism 8 -obsreps 4 -obsgate -json BENCH_iql.json
+	$(GO) run ./cmd/idmbench -exp iql -scale 0.05 -runs 10 -parallelism $(NPROC) -obsreps 4 -obsgate -json BENCH_iql.json

@@ -8,9 +8,9 @@
 //	         [-json BENCH_iql.json] [-parallelism N] [-obsreps 3] [-tenx] [-minspeedup X] [-obsgate]
 //
 // -json writes the iQL engine microbenchmark (experiments.BenchReport,
-// schema_version 5: serial vs forced-parallel vs planner-adaptive, with
-// the adaptive planner's strategy and estimated-vs-actual rows per
-// query) to the given path, including the obs_overhead section that
+// schema_version 6: serial vs parallel, both with automatic expansion,
+// with the planner's strategy and estimated-vs-actual rows per query)
+// to the given path, including the obs_overhead section that
 // compares instrumented vs uninstrumented ns/op across four postures —
 // no registry, disabled registry, enabled registry, enabled registry
 // plus query log (-obsreps 0 skips it).
@@ -18,8 +18,10 @@
 // -ixreps adds the index_build section: cold-start index construction
 // from a recovered durable state at -ixscale (default 1.0, the paper
 // shape), per-view incremental insertion vs the counting bulk build.
-// -minspeedup fails the run (exit 1) if any query's adaptive speedup
+// -minspeedup fails the run (exit 1) if any query's parallel speedup
 // over serial falls below the threshold — the planner regression gate.
+// It refuses to run when -parallelism exceeds the machine's CPU count:
+// a speedup the hardware cannot back proves nothing.
 // -obsgate fails the run if the mean disabled overhead exceeds 2% or
 // the mean query-log-enabled overhead exceeds 3% — the observability
 // cost gate (opt-in: percent-level bounds need a quiet machine).
@@ -50,7 +52,7 @@ func main() {
 	tenx := flag.Bool("tenx", false, "additionally measure the iQL benchmark at 10x -scale (scale_10x section)")
 	ixReps := flag.Int("ixreps", 0, "min-of-N repetitions for the index_build section of -json (0 = skip)")
 	ixScale := flag.Float64("ixscale", 1.0, "dataset scale for the index_build section")
-	minSpeedup := flag.Float64("minspeedup", 0, "fail unless every query's adaptive speedup over serial is at least this (0 = no gate)")
+	minSpeedup := flag.Float64("minspeedup", 0, "fail unless every query's parallel speedup over serial is at least this (0 = no gate; needs -parallelism <= NumCPU)")
 	obsGate := flag.Bool("obsgate", false, "fail unless mean obs overhead is within bounds (disabled <= 2%, query-log <= 3%); needs -obsreps > 0")
 	flag.Parse()
 
@@ -65,19 +67,9 @@ func main() {
 		fail(fmt.Errorf("unknown expansion %q", *expansion))
 	}
 
-	// A worker count above GOMAXPROCS would record a benchmark the
-	// scheduler cannot actually run: raise GOMAXPROCS to match so the
-	// "parallel" lane really is parallel, and warn when the hardware
-	// cannot back it (the adaptive lane will then plan serially, which
-	// is the planner working as intended, not a measurement error).
-	if *parallelism > runtime.GOMAXPROCS(0) {
-		runtime.GOMAXPROCS(*parallelism)
-	}
-	if *parallelism > runtime.NumCPU() {
-		fmt.Fprintf(os.Stderr,
-			"idmbench: warning: -parallelism %d exceeds the machine's %d CPU core(s); "+
-				"forced-parallel numbers will show scheduling overhead, not speedup\n",
-			*parallelism, runtime.NumCPU())
+	if *minSpeedup > 0 && *parallelism > runtime.NumCPU() {
+		fail(fmt.Errorf("-minspeedup needs -parallelism <= %d (the machine's CPU count), got %d",
+			runtime.NumCPU(), *parallelism))
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
@@ -187,33 +179,31 @@ func main() {
 				if err := gateSpeedup(rep, *minSpeedup); err != nil {
 					fail(err)
 				}
-				fmt.Printf("planner gate passed: adaptive speedup >= %.2f on every query\n", *minSpeedup)
+				fmt.Printf("planner gate passed: parallel speedup >= %.2f on every query\n", *minSpeedup)
 			}
 		}
 	}
 }
 
-// printQueries prints one line per measured query, including the
-// adaptive lane and its planner decision.
+// printQueries prints one line per measured query with its planner
+// decision.
 func printQueries(queries []experiments.BenchQuery, parallelism int) {
 	for _, q := range queries {
-		fmt.Printf("%-3s serial %10d ns/op  parallel(%d) %10d ns/op (%.2fx)  adaptive %10d ns/op (%.2fx)  "+
-			"plan %s est %d actual %d\n",
+		fmt.Printf("%-3s serial %10d ns/op  parallel(%d) %10d ns/op (%.2fx)  plan %s est %d actual %d\n",
 			q.ID, q.Serial.NsPerOp, parallelism, q.Parallel.NsPerOp, q.Speedup,
-			q.Adaptive.NsPerOp, q.AdaptiveSpeedup,
 			q.Planner.Strategy, q.Planner.EstimatedRows, q.Planner.ActualRows)
 	}
 }
 
 // gateSpeedup fails when any query — at the base scale or in the 10×
-// section — ran slower under the adaptive planner than the given
-// fraction of serial time.
+// section — ran slower at Parallelism N than the given fraction of its
+// serial time.
 func gateSpeedup(rep *experiments.BenchReport, min float64) error {
 	var bad []string
 	check := func(label string, queries []experiments.BenchQuery) {
 		for _, q := range queries {
-			if q.AdaptiveSpeedup < min {
-				bad = append(bad, fmt.Sprintf("%s%s %.2fx", label, q.ID, q.AdaptiveSpeedup))
+			if q.Speedup < min {
+				bad = append(bad, fmt.Sprintf("%s%s %.2fx", label, q.ID, q.Speedup))
 			}
 		}
 	}
@@ -222,7 +212,7 @@ func gateSpeedup(rep *experiments.BenchReport, min float64) error {
 		check("10x:", rep.Scale10x.Queries)
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("adaptive speedup below %.2f: %v", min, bad)
+		return fmt.Errorf("parallel speedup below %.2f: %v", min, bad)
 	}
 	return nil
 }

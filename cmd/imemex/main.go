@@ -13,7 +13,7 @@
 //	\help            show help
 //	\sources         list data sources and their Table 2 breakdowns
 //	\sizes           show index sizes (Table 3)
-//	\plan <query>    show the rule-based plan for a query
+//	\plan <query>    show the planner notes for a query
 //	\explain <query> evaluate with tracing and print the span tree
 //	\stats           session metrics and query-cache statistics
 //	\history [n]     recent queries from the query log (latency + stats)
@@ -580,7 +580,7 @@ func printHelp() {
 	fmt.Print(`commands (: works like \):
   \sources         per-source resource view breakdown (Table 2)
   \sizes           index and replica sizes (Table 3)
-  \plan <query>    show the rule-based query plan
+  \plan <query>    show the planner notes for a query
   \explain <query> evaluate with tracing and print the span tree
   \stats           session metrics and query-cache statistics
   \history [n]     recent queries from the query log (latency + stats)

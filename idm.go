@@ -237,12 +237,6 @@ type Config struct {
 	// Fsync selects the WAL flush policy (default SyncOnCommit); only
 	// meaningful with DataDir or for OpenReplica's directory.
 	Fsync SyncPolicy
-
-	// rulePlanner pins the legacy rule-based iQL planner (fixed
-	// parallelism) in place of the cost-based adaptive one, so a test
-	// can force fan-out on any core count. Results are identical under
-	// either planner.
-	rulePlanner bool
 }
 
 // DefaultSlowQuery is the slow-query threshold applied when
@@ -275,7 +269,6 @@ type System struct {
 	converters *convert.Registry
 	now        func() time.Time
 	par        int
-	planner    iql.PlannerMode
 	cache      *queryCache
 	metrics    *obs.Registry
 	qlog       *obs.QueryLog // nil when disabled
@@ -321,11 +314,6 @@ func newSystemMetrics(reg *obs.Registry) systemMetrics {
 		resultsOrdered: reg.Counter("idm_results_ordered_total"),
 	}
 }
-
-// The manager implements the statistics surface the cost-based planner
-// consults; without it the adaptive planner falls back to rule-based
-// decisions.
-var _ iql.StatsProvider = (*rvm.Manager)(nil)
 
 // Open creates an in-memory System. Config.DataDir is ignored here —
 // use OpenDurable for a dataspace backed by the durable store.
@@ -412,10 +400,6 @@ func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry
 	if now == nil {
 		now = time.Now
 	}
-	planner := iql.PlannerAdaptive
-	if cfg.rulePlanner {
-		planner = iql.PlannerRule
-	}
 	var qlog *obs.QueryLog
 	if cfg.QueryLogSize >= 0 {
 		slow := cfg.SlowQuery
@@ -427,7 +411,6 @@ func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry
 	engine := iql.NewEngine(mgr, iql.Options{
 		Now:         now,
 		Parallelism: cfg.Parallelism,
-		Planner:     planner,
 		Metrics:     reg,
 		QueryLog:    qlog,
 	})
@@ -437,7 +420,6 @@ func open(cfg Config, cat *catalog.Catalog, st storage.Engine, reg *obs.Registry
 		converters: convert.Default(),
 		now:        now,
 		par:        cfg.Parallelism,
-		planner:    planner,
 		cache:      newQueryCache(0),
 		metrics:    reg,
 		qlog:       qlog,
@@ -674,7 +656,7 @@ func (s *System) QueryWith(q string, exp Expansion) (*Result, error) {
 	if _, err := s.admit(); err != nil {
 		return nil, err
 	}
-	engine := iql.NewEngine(s.mgr, iql.Options{Expansion: exp, Now: s.now, Parallelism: s.par, Planner: s.planner})
+	engine := iql.NewEngine(s.mgr, iql.Options{Expansion: exp, Now: s.now, Parallelism: s.par})
 	r, err := engine.Query(q)
 	if err != nil {
 		return nil, err
@@ -751,7 +733,7 @@ func (s *System) QueryRanked(q string) (*Result, error) {
 	if _, err := s.admit(); err != nil {
 		return nil, err
 	}
-	engine := iql.NewEngine(s.mgr, iql.Options{Now: s.now, Rank: true, Parallelism: s.par, Planner: s.planner})
+	engine := iql.NewEngine(s.mgr, iql.Options{Now: s.now, Rank: true, Parallelism: s.par})
 	r, err := engine.Query(q)
 	if err != nil {
 		return nil, err
@@ -783,7 +765,7 @@ type Result struct {
 	Rows    []Row
 	// Items flattens the first column.
 	Items []Item
-	// Plan carries the rule-based planner's notes.
+	// Plan carries the planner's notes, one per line.
 	Plan string
 	// Intermediates counts views touched during path expansion.
 	Intermediates int

@@ -111,18 +111,6 @@ func (s *Setup) EngineWith(exp iql.Expansion, parallelism int) *iql.Engine {
 	return iql.NewEngine(s.Mgr, iql.Options{Expansion: exp, Now: Clock, Parallelism: parallelism})
 }
 
-// AdaptiveEngine returns an engine driven by the cost-based planner:
-// automatic expansion with direction chosen by estimated cost, and
-// per-stage serial/parallel decisions capped by the worker count.
-func (s *Setup) AdaptiveEngine(parallelism int) *iql.Engine {
-	return iql.NewEngine(s.Mgr, iql.Options{
-		Expansion:   iql.AutoExpansion,
-		Now:         Clock,
-		Parallelism: parallelism,
-		Planner:     iql.PlannerAdaptive,
-	})
-}
-
 // ---------------------------------------------------------------------
 // Table 4 / Figure 6: the evaluation queries.
 // ---------------------------------------------------------------------
@@ -502,8 +490,7 @@ type BenchMode struct {
 	Results       int   `json:"results"`
 }
 
-// PlannerChoice records the cost-based planner's decisions for one
-// query: the chosen top-level strategy (forward/backward/predicate/
+// PlannerChoice records the planner's decisions for one query: the chosen top-level strategy (forward/backward/predicate/
 // union/join/single step) and the estimated vs actual result rows, so
 // drift in estimation quality is visible in the committed report.
 type PlannerChoice struct {
@@ -512,8 +499,8 @@ type PlannerChoice struct {
 	ActualRows    int64  `json:"actual_rows"`
 }
 
-// BenchQuery is one Table 4 query measured serial, forced-parallel and
-// planner-adaptive.
+// BenchQuery is one Table 4 query measured serial (Parallelism 1) and
+// parallel (Parallelism N), both with automatic expansion.
 type BenchQuery struct {
 	ID       string    `json:"id"`
 	IQL      string    `json:"iql"`
@@ -522,11 +509,8 @@ type BenchQuery struct {
 	// Speedup is serial ns/op over parallel ns/op (> 1 means the
 	// parallel engine won).
 	Speedup float64 `json:"speedup"`
-	// Adaptive measures the cost-based planner (schema v3).
-	Adaptive BenchMode `json:"adaptive"`
-	// AdaptiveSpeedup is serial ns/op over adaptive ns/op.
-	AdaptiveSpeedup float64 `json:"adaptive_speedup"`
-	// Planner records the adaptive run's plan decisions (schema v3).
+	// Planner records the serial run's plan decisions (schema v3); the
+	// planner makes the same ones at any parallelism.
 	Planner PlannerChoice `json:"planner"`
 }
 
@@ -544,8 +528,10 @@ type ScaleSection struct {
 // num_cpu, the per-query adaptive mode with its planner section, and
 // the optional scale_10x section; version 4 added the query-log mode
 // to obs_overhead; version 5 added the optional index_build section
-// (cold-start restore, incremental vs counting bulk). Readers of
-// older versions still parse newer files by ignoring the unknown keys.
+// (cold-start restore, incremental vs counting bulk); version 6 dropped
+// the adaptive mode and adaptive_speedup, since serial and parallel now
+// run the one planner. Readers of older versions still parse newer
+// files by ignoring the unknown keys.
 type BenchReport struct {
 	SchemaVersion int     `json:"schema_version"`
 	Tool          string  `json:"tool"`
@@ -553,7 +539,7 @@ type BenchReport struct {
 	Seed          int64   `json:"seed"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	// NumCPU records the machine's core count (schema v3): speedup
-	// numbers are meaningless without it, and the adaptive planner's
+	// numbers are meaningless without it, and the planner's
 	// serial-on-small-machines choices only make sense against it.
 	NumCPU      int          `json:"num_cpu"`
 	Parallelism int          `json:"parallelism"`
@@ -625,16 +611,15 @@ func timeBatch(e *iql.Engine, src string, iters int) (int64, error) {
 	return time.Since(start).Nanoseconds() / int64(iters), nil
 }
 
-// benchQueries measures every Table 4 query in the three lanes (serial,
-// forced-parallel, planner-adaptive) over reps timing repetitions,
-// checking result equality across all of them as it goes.
+// benchQueries measures every Table 4 query in the two lanes (serial
+// and parallel, both with automatic expansion) over reps timing
+// repetitions, checking result equality between them as it goes.
 func benchQueries(s *Setup, runs, parallelism, reps int) ([]BenchQuery, error) {
 	lanes := []*iql.Engine{
-		s.EngineWith(iql.ForwardExpansion, 1),
-		s.EngineWith(iql.ForwardExpansion, parallelism),
-		s.AdaptiveEngine(parallelism),
+		s.EngineWith(iql.AutoExpansion, 1),
+		s.EngineWith(iql.AutoExpansion, parallelism),
 	}
-	laneName := []string{"serial", "parallel", "adaptive"}
+	laneName := []string{"serial", "parallel"}
 	var out []BenchQuery
 	for _, q := range PaperQueries() {
 		modes := make([]BenchMode, len(lanes))
@@ -662,8 +647,7 @@ func benchQueries(s *Setup, runs, parallelism, reps int) ([]BenchQuery, error) {
 			}
 		}
 		// Rotate the lane order every repetition: a fixed order hands
-		// whichever lane follows the heavy forced-parallel batch a
-		// systematic penalty (scheduler and allocator state leak across
+		// whichever lane follows the other a systematic penalty (scheduler and allocator state leak across
 		// batches even with a forced GC between them).
 		for rep := 0; rep < reps; rep++ {
 			for k := range lanes {
@@ -677,33 +661,28 @@ func benchQueries(s *Setup, runs, parallelism, reps int) ([]BenchQuery, error) {
 				}
 			}
 		}
-		sm, pm, am := modes[0], modes[1], modes[2]
-		if sm.Results != pm.Results || sm.Results != am.Results {
-			return nil, fmt.Errorf("%s: serial found %d results, parallel %d, adaptive %d",
-				q.ID, sm.Results, pm.Results, am.Results)
+		sm, pm := modes[0], modes[1]
+		if sm.Results != pm.Results {
+			return nil, fmt.Errorf("%s: serial found %d results, parallel %d",
+				q.ID, sm.Results, pm.Results)
 		}
-		bq := BenchQuery{ID: q.ID, IQL: q.IQL, Serial: sm, Parallel: pm, Adaptive: am}
+		bq := BenchQuery{ID: q.ID, IQL: q.IQL, Serial: sm, Parallel: pm}
 		if pm.NsPerOp > 0 {
 			bq.Speedup = float64(sm.NsPerOp) / float64(pm.NsPerOp)
 		}
-		if am.NsPerOp > 0 {
-			bq.AdaptiveSpeedup = float64(sm.NsPerOp) / float64(am.NsPerOp)
-		}
-		ares := results[2]
 		bq.Planner = PlannerChoice{
-			Strategy:      ares.Plan.Strategy,
-			EstimatedRows: ares.Plan.EstimatedRows,
-			ActualRows:    int64(ares.Count()),
+			Strategy:      results[0].Plan.Strategy,
+			EstimatedRows: results[0].Plan.EstimatedRows,
+			ActualRows:    int64(results[0].Count()),
 		}
 		out = append(out, bq)
 	}
 	return out, nil
 }
 
-// BenchIQL measures every Table 4 query with the serial engine, a
-// forced-parallel engine of the given worker count (0 = GOMAXPROCS) and
-// the cost-based adaptive engine, checking result equality between the
-// three as it goes.
+// BenchIQL measures every Table 4 query with a serial engine and a
+// parallel engine of the given worker count (0 = GOMAXPROCS), checking
+// result equality between the two as it goes.
 func BenchIQL(s *Setup, runs, parallelism int) (*BenchReport, error) {
 	return benchIQL(s, runs, parallelism, benchReps)
 }
@@ -717,7 +696,7 @@ func benchIQL(s *Setup, runs, parallelism, reps int) (*BenchReport, error) {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	rep := &BenchReport{
-		SchemaVersion: 5,
+		SchemaVersion: 6,
 		Tool:          "idmbench",
 		Scale:         s.Scale,
 		Seed:          s.Seed,
@@ -735,8 +714,8 @@ func benchIQL(s *Setup, runs, parallelism, reps int) (*BenchReport, error) {
 }
 
 // BenchIQLAtScale builds and indexes a fresh dataset at the given scale
-// and measures the three lanes over it — the scale_10x section of
-// schema v3.
+// and measures both lanes over it — the scale_10x section of schema
+// v3.
 func BenchIQLAtScale(scale float64, seed int64, runs, parallelism int) (*ScaleSection, error) {
 	if runs <= 0 {
 		runs = 10

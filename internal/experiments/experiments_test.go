@@ -184,19 +184,19 @@ func TestBenchIQLReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SchemaVersion != 5 || rep.Parallelism != 4 || len(rep.Queries) != 8 {
+	if rep.SchemaVersion != 6 || rep.Parallelism != 4 || len(rep.Queries) != 8 {
 		t.Fatalf("report header = %+v", rep)
 	}
 	for _, q := range rep.Queries {
-		if q.Serial.Results != q.Parallel.Results || q.Serial.Results != q.Adaptive.Results {
-			t.Errorf("%s: result counts diverge: serial %d parallel %d adaptive %d",
-				q.ID, q.Serial.Results, q.Parallel.Results, q.Adaptive.Results)
+		if q.Serial.Results != q.Parallel.Results {
+			t.Errorf("%s: result counts diverge: serial %d parallel %d",
+				q.ID, q.Serial.Results, q.Parallel.Results)
 		}
-		if q.Serial.NsPerOp <= 0 || q.Parallel.NsPerOp <= 0 || q.Adaptive.NsPerOp <= 0 {
+		if q.Serial.NsPerOp <= 0 || q.Parallel.NsPerOp <= 0 {
 			t.Errorf("%s: non-positive timing %+v", q.ID, q)
 		}
-		if q.AdaptiveSpeedup <= 0 {
-			t.Errorf("%s: missing adaptive speedup", q.ID)
+		if q.Speedup <= 0 {
+			t.Errorf("%s: missing speedup", q.ID)
 		}
 		if q.Planner.Strategy == "" {
 			t.Errorf("%s: missing planner strategy", q.ID)

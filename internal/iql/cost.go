@@ -1,42 +1,8 @@
 package iql
 
 import (
-	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/tupleindex"
 )
-
-// StatsProvider is the optional Store extension the cost-based planner
-// consults for cheap cardinality estimates. Every method must be O(1)
-// or O(log n) against index metadata (posting-list lengths, column
-// spans, class-member counts) — estimates are read before execution, so
-// an estimate that costs as much as the lookup it predicts is useless.
-// Estimates are upper bounds, never exact guarantees: the planner uses
-// them to order work and pick strategies, and execution stays exact
-// regardless of estimation error.
-type StatsProvider interface {
-	// EstimatePhrase bounds the number of views whose content contains
-	// the phrase (min posting-list length over the phrase's tokens).
-	EstimatePhrase(phrase string) int
-	// EstimateClass bounds the number of views in the class or a
-	// specialization of it.
-	EstimateClass(class string) int
-	// EstimateNamePattern bounds the number of views whose name matches
-	// the pattern. ok is false when the pattern needs a scan to count
-	// (wildcards); exact-name patterns answer from the name replica's
-	// exact-match lane in O(1).
-	EstimateNamePattern(pattern string) (n int, ok bool)
-	// EstimateTuple bounds the number of views whose attribute
-	// satisfies (op, value), from the sorted column span.
-	EstimateTuple(attr string, op tupleindex.Op, value core.Value) int
-	// EstimateFanout bounds the number of child edges leaving the given
-	// views (the cost of one '/' expansion step).
-	EstimateFanout(oids []catalog.OID) int
-	// EstimateReach bounds the number of views reachable from the given
-	// views through group edges (the cost of one '//' expansion),
-	// capped at the store's view count.
-	EstimateReach(oids []catalog.OID) int
-}
 
 // Cost model: coarse per-item work units the planner uses to compare
 // strategies and to decide when a stage carries enough work to be worth
@@ -68,15 +34,6 @@ const (
 	// candidates pay this.
 	costVerifyMiss = 64
 )
-
-// parCrossover is the estimated work (items × per-item cost units) a
-// stage must carry before the adaptive planner fans it out. Calibrated
-// against this engine's stage overhead: spawning and joining a worker
-// group costs a few microseconds, one cost unit is a few nanoseconds,
-// so below ~16k units the goroutine and merge overhead exceeds the work
-// saved (the measured crossover sits between 10k and 50k units; see
-// docs/IQL.md "Cost-based planning").
-const parCrossover = 1 << 14
 
 // exprCost estimates the per-view work units of evaluating a predicate.
 func exprCost(e Expr) int {
@@ -125,36 +82,33 @@ func stepMatchCost(s Step) int {
 // constrains.
 func (c *evalCtx) estimateStep(s Step) int {
 	est := c.store.Count()
-	if c.stats == nil {
-		return est
-	}
 	apply := func(n int) {
 		if n < est {
 			est = n
 		}
 	}
 	if !s.AnyName() {
-		if n, ok := c.stats.EstimateNamePattern(s.Pattern); ok {
+		if n, ok := c.store.EstimateNamePattern(s.Pattern); ok {
 			apply(n)
 		}
 	}
 	for _, conj := range conjuncts(s.Pred) {
 		switch x := conj.(type) {
 		case *PhraseExpr:
-			apply(c.stats.EstimatePhrase(x.Phrase))
+			apply(c.store.EstimatePhrase(x.Phrase))
 		case *ClassExpr:
-			apply(c.stats.EstimateClass(x.Class))
+			apply(c.store.EstimateClass(x.Class))
 		case *CmpExpr:
 			if x.Attr == "name" {
 				if x.Op == OpEq && x.Value.Kind == core.DomainString {
-					if n, ok := c.stats.EstimateNamePattern(x.Value.Str); ok {
+					if n, ok := c.store.EstimateNamePattern(x.Value.Str); ok {
 						apply(n)
 					}
 				}
 				continue
 			}
 			if op, ok := tupleOp(x.Op); ok {
-				apply(c.stats.EstimateTuple(x.Attr, op, x.Value))
+				apply(c.store.EstimateTuple(x.Attr, op, x.Value))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package iql
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -66,57 +67,80 @@ func differentialStore(seed int64, n int) *fakeStore {
 	return f
 }
 
-// diffLanes labels the three execution lanes the differential property
-// compares: serial (rule planner, Parallelism 1), forced-parallel (rule
-// planner, Parallelism 8), and planner-adaptive (cost-based planner,
-// Parallelism 8, with PlannerProcs 4 so parallel plans stay reachable
-// on single-core CI machines the adaptive planner would otherwise
-// serialize).
-var diffLanes = [3]string{"serial", "parallel", "adaptive"}
+// diffLanes labels the two execution lanes the differential property
+// compares with naiveEval: serial (Parallelism 1) and parallel
+// (Parallelism 8 with PlannerProcs 4, so parallel plans stay reachable
+// on machines with fewer cores). Callers zero the work crossover
+// (forceFanOut), so the parallel lane fans out every stage with
+// parThreshold items.
+var diffLanes = [2]string{"serial", "parallel"}
 
-// diffEngines builds the three lanes for every expansion strategy over
-// f. The fakeStore implements StatsProvider, so the adaptive lane
-// exercises estimate-driven direction choice, union ordering, join
-// build-side selection and residual-filter elision.
-func diffEngines(f *fakeStore) map[string][3]*Engine {
-	out := make(map[string][3]*Engine)
+// diffEngines builds both lanes for every expansion strategy over f.
+func diffEngines(f *fakeStore) map[string][2]*Engine {
+	out := make(map[string][2]*Engine)
 	for name, exp := range map[string]Expansion{
 		"forward": ForwardExpansion, "backward": BackwardExpansion, "auto": AutoExpansion,
 	} {
-		out[name] = [3]*Engine{
+		out[name] = [2]*Engine{
 			NewEngine(f, Options{Expansion: exp, Now: fixedNow, Parallelism: 1}),
-			NewEngine(f, Options{Expansion: exp, Now: fixedNow, Parallelism: 8}),
-			NewEngine(f, Options{Expansion: exp, Now: fixedNow, Parallelism: 8,
-				Planner: PlannerAdaptive, PlannerProcs: 4}),
+			NewEngine(f, Options{Expansion: exp, Now: fixedNow, Parallelism: 8, PlannerProcs: 4}),
 		}
 	}
 	return out
 }
 
-// diffOne runs q on every lane and fails unless all lanes agree with
-// the serial baseline on error status and, when successful, on exact
-// rows.
-func diffOne(t *testing.T, label, q string, lanes [3]*Engine) {
+// diffOne runs q on every lane and fails unless each returns exactly
+// the oracle's rows. It reports whether the parallel lane fanned out.
+func diffOne(t *testing.T, label, q string, want [][]catalog.OID, lanes [2]*Engine) (parallel bool) {
 	t.Helper()
-	rs, errS := lanes[0].Query(q)
-	for i := 1; i < len(lanes); i++ {
-		r, err := lanes[i].Query(q)
-		if (errS == nil) != (err == nil) {
-			t.Fatalf("%s: %q: serial err = %v, %s err = %v", label, q, errS, diffLanes[i], err)
+	for i, e := range lanes {
+		r, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("%s %s: %q: %v", label, diffLanes[i], q, err)
 		}
-		if errS != nil {
-			continue
+		if !sameRows(r.Rows, want) {
+			t.Fatalf("%s %s: %q: rows diverge from naiveEval:\nengine: %v\nnaive:  %v",
+				label, diffLanes[i], q, r.Rows, want)
 		}
-		requireSameResult(t, label+" "+diffLanes[i]+" "+q, rs, r)
+		if i == 1 {
+			parallel = r.Plan.ParallelStages > 0
+		}
 	}
+	return parallel
 }
 
-// TestDifferentialSerialParallel is the acceptance property from the
-// fault-injection issue: 1000 seeded grammar-driven query generations
-// must evaluate identically under serial and parallel execution for
+// sameRows compares row sets exactly, treating nil and empty alike.
+func sameRows(a, b [][]catalog.OID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffQuery parses a generated query and evaluates it with naiveEval.
+func diffQuery(t *testing.T, q string, f *fakeStore) [][]catalog.OID {
+	t.Helper()
+	ast, err := ParseWith(q, ParseOptions{Now: fixedNow})
+	if err != nil {
+		t.Fatalf("generated query does not parse: %q: %v", q, err)
+	}
+	return naiveEval(f, ast)
+}
+
+// TestDifferentialSerialParallel is the differential acceptance
+// property: 1000 seeded grammar-driven query generations must return
+// exactly naiveEval's rows under serial and parallel execution for
 // every expansion strategy, on a store wide enough to trigger real
-// worker fan-out.
+// worker fan-out. At least half of the parallel executions must
+// actually fan out (about three quarters do), so a lane that quietly
+// runs serial fails.
 func TestDifferentialSerialParallel(t *testing.T) {
+	forceFanOut(t)
 	generations := 1000
 	if testing.Short() {
 		generations = 100
@@ -124,11 +148,20 @@ func TestDifferentialSerialParallel(t *testing.T) {
 	f := differentialStore(99, 1500)
 	engines := diffEngines(f)
 	g := NewGen(2006, DefaultVocab())
+	runs, fanned := 0, 0
 	for i := 0; i < generations; i++ {
 		q := g.Query()
+		want := diffQuery(t, q, f)
 		for name, lanes := range engines {
-			diffOne(t, fmt.Sprintf("gen %d %s", i, name), q, lanes)
+			runs++
+			if diffOne(t, fmt.Sprintf("gen %d %s", i, name), q, want, lanes) {
+				fanned++
+			}
 		}
+	}
+	t.Logf("parallel lane fanned out on %d of %d executions", fanned, runs)
+	if fanned*2 < runs {
+		t.Fatalf("parallel lane fanned out on %d of %d executions, want at least half", fanned, runs)
 	}
 }
 
@@ -178,12 +211,13 @@ func TestGenCoversGrammar(t *testing.T) {
 	}
 }
 
-// FuzzDifferential drives the three-lane differential property with Go
-// native fuzzing: each input seeds the grammar generator, and the
-// resulting query must agree across serial, forced-parallel and
-// planner-adaptive execution under all three expansion strategies.
-// Seed corpus: testdata/fuzz/FuzzDifferential.
+// FuzzDifferential drives the differential property with Go native
+// fuzzing: each input seeds the grammar generator, and the resulting
+// queries must return naiveEval's rows under serial and parallel
+// execution with all three expansion strategies. Seed corpus:
+// testdata/fuzz/FuzzDifferential.
 func FuzzDifferential(f *testing.F) {
+	forceFanOut(f)
 	for _, seed := range []int64{0, 1, 42, 2006, 1 << 40, 7_2026, 424243} {
 		f.Add(seed)
 	}
@@ -193,8 +227,9 @@ func FuzzDifferential(f *testing.F) {
 		g := NewGen(seed, DefaultVocab())
 		for i := 0; i < 3; i++ {
 			q := g.Query()
+			want := diffQuery(t, q, store)
 			for name, lanes := range engines {
-				diffOne(t, fmt.Sprintf("seed %d gen %d %s", seed, i, name), q, lanes)
+				diffOne(t, fmt.Sprintf("seed %d gen %d %s", seed, i, name), q, want, lanes)
 			}
 		}
 	})

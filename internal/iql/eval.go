@@ -33,24 +33,18 @@ type Options struct {
 	// Parallelism is the worker count for query execution: frontier
 	// expansion, backward ancestor verification, union and join
 	// fan-out, and residual filtering all shard across this many
-	// workers when a stage carries enough work. <= 0 applies
+	// workers when a stage carries enough estimated work (see
+	// PlannerProcs for the CPU clamp). <= 0 applies
 	// runtime.GOMAXPROCS(0); 1 preserves fully serial execution.
 	// Results are identical at any setting: rows are sorted before
 	// return, so only internal evaluation order varies.
 	Parallelism int
-	// Planner selects the physical decision maker. The zero value
-	// (PlannerRule) keeps the legacy rule-based behaviour: fan out
-	// every large-enough stage to Parallelism workers and choose
-	// auto-expansion anchors by raw candidate counts. PlannerAdaptive
-	// makes cost-based decisions from catalog/index statistics:
-	// per-stage serial/parallel crossover clamped by schedulable CPUs,
-	// expansion direction by estimated expansion cost, and
-	// residual-filter elision on index-covered steps. Results are
-	// identical under either planner.
+	// Deprecated: ignored; the engine always plans by cost (see
+	// docs/IQL.md "Cost-based planning").
 	Planner PlannerMode
-	// PlannerProcs overrides the schedulable-CPU count the adaptive
-	// planner clamps Parallelism with (<= 0 = min(GOMAXPROCS, NumCPU)).
-	// Tests use it to exercise parallel plans on small machines.
+	// PlannerProcs overrides the schedulable-CPU count the planner
+	// clamps Parallelism with (<= 0 = min(GOMAXPROCS, NumCPU)). Tests
+	// use it to exercise parallel plans on small machines.
 	PlannerProcs int
 	// Metrics receives the engine's counters and latency histograms
 	// (iql_* instruments, see docs/OBSERVABILITY.md). nil leaves the
@@ -240,11 +234,8 @@ func (e *Engine) ExecTraced(q Query, trace *obs.Trace) (*Result, error) {
 	e.met.queries.Inc()
 	root := trace.Root()
 
-	plan := &PlanInfo{EstimatedRows: -1}
-	ctx := newEvalCtx(e.store, plan, e.opts.Parallelism)
-	ctx.planner = e.opts.Planner
-	ctx.effPar = e.opts.effectiveParallelism()
-	ctx.stats, _ = e.store.(StatsProvider)
+	plan := &PlanInfo{}
+	ctx := newEvalCtx(e.store, plan, e.opts.effectiveParallelism())
 	// Cross-execution estimate reuse needs a dataspace version to
 	// invalidate on; without one every execution re-derives estimates.
 	if e.versioned != nil {
@@ -258,20 +249,20 @@ func (e *Engine) ExecTraced(q Query, trace *obs.Trace) (*Result, error) {
 	pl.Set("strategy", e.opts.Expansion.String())
 	pl.SetInt("parallelism", int64(e.opts.Parallelism))
 	pl.SetInt("budget", int64(e.opts.Budget))
-	if e.opts.Planner == PlannerAdaptive {
-		e.met.plannerPlans.Inc()
-		est := ctx.estimateQuery(q)
-		plan.EstimatedRows = int64(est)
-		pl.Set("planner", "adaptive")
-		pl.SetInt("estimated rows", int64(est))
-		pl.SetInt("effective parallelism", int64(ctx.effPar))
-		b := make([]byte, 0, 64)
-		b = append(b, "planner: cost-based, estimated rows ≤ "...)
-		b = strconv.AppendInt(b, int64(est), 10)
-		b = append(b, ", effective parallelism "...)
-		b = strconv.AppendInt(b, int64(ctx.effPar), 10)
-		plan.note(string(b))
-	}
+	e.met.plannerPlans.Inc()
+	est := ctx.estimateQuery(q)
+	plan.EstimatedRows = int64(est)
+	// "planner=adaptive" names the cost-based planner as it did when a
+	// rule-based one stood beside it; EXPLAIN renders keep it stable.
+	pl.Set("planner", "adaptive")
+	pl.SetInt("estimated rows", int64(est))
+	pl.SetInt("effective parallelism", int64(ctx.effPar))
+	b := make([]byte, 0, 64)
+	b = append(b, "planner: cost-based, estimated rows ≤ "...)
+	b = strconv.AppendInt(b, int64(est), 10)
+	b = append(b, ", effective parallelism "...)
+	b = strconv.AppendInt(b, int64(ctx.effPar), 10)
+	plan.note(string(b))
 	pl.Finish()
 
 	// Stores backed by a Resource View Manager report degraded sources;
@@ -312,10 +303,6 @@ func (e *Engine) ExecTraced(q Query, trace *obs.Trace) (*Result, error) {
 	}
 	// Per-query resource accounting. All workers have joined, so the
 	// plan's atomic counters read exact here.
-	planner := "rule"
-	if e.opts.Planner == PlannerAdaptive {
-		planner = "adaptive"
-	}
 	res.Stats = QueryStats{
 		ElapsedNs:       int64(time.Since(t0)),
 		Rows:            int64(len(res.Rows)),
@@ -329,7 +316,6 @@ func (e *Engine) ExecTraced(q Query, trace *obs.Trace) (*Result, error) {
 		ParallelStages:  plan.ParallelStages,
 		SerialStages:    plan.SerialStages,
 		Strategy:        plan.Strategy,
-		Planner:         planner,
 	}
 	if trace != nil {
 		st := root.Start("stats")
@@ -350,17 +336,14 @@ func (e *Engine) ExecTraced(q Query, trace *obs.Trace) (*Result, error) {
 	e.met.plannerSerial.Add(plan.SerialStages)
 	e.met.plannerPush.Add(plan.Pushdowns)
 	e.met.plannerSkips.Add(plan.ResidualSkips)
-	if plan.EstimatedRows >= 0 {
-		// Estimation-accuracy signal: symmetric error ratio between the
-		// pre-execution bound and the actual row count, in percent
-		// (100 = exact; +1 smoothing keeps empty results finite).
-		est, act := plan.EstimatedRows, int64(len(res.Rows))
-		lo, hi := est, act
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		e.met.plannerEstErr.Observe(100 * (hi + 1) / (lo + 1))
+	// Estimation-accuracy signal: symmetric error ratio between the
+	// pre-execution bound and the actual row count, in percent (100 =
+	// exact; +1 smoothing keeps empty results finite).
+	lo, hi := plan.EstimatedRows, int64(len(res.Rows))
+	if lo > hi {
+		lo, hi = hi, lo
 	}
+	e.met.plannerEstErr.Observe(100 * (hi + 1) / (lo + 1))
 	return res, nil
 }
 
@@ -492,8 +475,9 @@ func singleColumn(oids []catalog.OID) [][]catalog.OID {
 }
 
 // evalUnion evaluates the duplicate-free union, running the branch
-// queries concurrently when the engine is parallel (each branch is an
-// independent subquery sharing this query's memoized index lookups).
+// queries concurrently when the planner finds them heavy enough (each
+// branch is an independent subquery sharing this query's memoized index
+// lookups).
 func (e *Engine) evalUnion(ctx *evalCtx, q *UnionQuery, sp *obs.Span) ([][]catalog.OID, []string, error) {
 	ctx.plan.notef("union of %d queries", len(q.Args))
 	us := startSpan(sp, "union")
@@ -508,14 +492,14 @@ func (e *Engine) evalUnion(ctx *evalCtx, q *UnionQuery, sp *obs.Span) ([][]catal
 		branches[i], _, errs[i] = e.exec(ctx, q.Args[i], spans[i])
 		spans[i].Finish()
 	}
-	// Serial evaluation order: the adaptive planner runs the branch
-	// with the smallest estimated result first, so cheap branches warm
-	// the shared index memos before expensive ones reuse them.
+	// Serial evaluation order: the branch with the smallest estimated
+	// result runs first, so cheap branches warm the shared index memos
+	// before expensive ones reuse them.
 	order := make([]int, len(q.Args))
 	for i := range order {
 		order[i] = i
 	}
-	if ctx.planner == PlannerAdaptive && ctx.stats != nil && len(q.Args) > 1 {
+	if len(q.Args) > 1 {
 		ests := make([]int, len(q.Args))
 		for i, a := range q.Args {
 			ests[i] = ctx.estimateQuery(a)
@@ -539,7 +523,7 @@ func (e *Engine) evalUnion(ctx *evalCtx, q *UnionQuery, sp *obs.Span) ([][]catal
 		b = append(b, "])"...)
 		ctx.plan.note(string(b))
 	}
-	if ctx.concurrentBranches() && len(q.Args) > 1 {
+	if len(q.Args) > 1 && ctx.concurrentBranches(q.Args...) {
 		var wg sync.WaitGroup
 		for i := range q.Args {
 			wg.Add(1)
@@ -574,26 +558,24 @@ func (e *Engine) evalUnion(ctx *evalCtx, q *UnionQuery, sp *obs.Span) ([][]catal
 }
 
 // evalPath evaluates a path expression with the configured expansion
-// strategy. Under automatic expansion the anchor steps are resolved once
-// and the already-resolved candidate lists are threaded into the chosen
-// strategy, so no step is resolved twice.
+// strategy. Under automatic expansion the first anchor is resolved once
+// and threaded into forward expansion when the planner picks it, so no
+// step is resolved twice.
 func (e *Engine) evalPath(ctx *evalCtx, q *PathQuery, sp *obs.Span) ([]catalog.OID, error) {
 	if len(q.Steps) == 0 {
 		return nil, fmt.Errorf("iql: empty path")
 	}
 	strategy := e.opts.Expansion
-	var first, last []catalog.OID
-	haveFirst, haveLast := false, false
+	var first []catalog.OID
+	haveFirst := false
 	if strategy == AutoExpansion {
 		// Anchor on the cheaper end. The first anchor is resolved once
-		// and threaded into the chosen strategy. The rule planner then
-		// also resolves the last anchor and compares raw candidate
-		// counts; the adaptive planner instead estimates the last
-		// anchor's cardinality from statistics and compares estimated
-		// expansion costs — forward pays for every view reachable from
-		// the first anchor, backward pays one ancestor verification per
-		// last-anchor candidate — so the unchosen direction's anchor is
-		// never materialized.
+		// and threaded into forward expansion if chosen; the last
+		// anchor's cardinality comes from statistics, and the planner
+		// compares estimated expansion costs — forward pays for every
+		// view reachable from the first anchor, backward pays one
+		// ancestor verification per last-anchor candidate — so the
+		// unchosen direction's anchor is never materialized.
 		cs := startSpan(sp, "strategy choice")
 		first = ctx.resolveStep(q.Steps[0], cs)
 		haveFirst = true
@@ -605,48 +587,35 @@ func (e *Engine) evalPath(ctx *evalCtx, q *PathQuery, sp *obs.Span) ([]catalog.O
 			cs.Finish()
 			return first, nil
 		}
-		if ctx.planner == PlannerAdaptive && ctx.stats != nil {
-			choice := ctx.choosePathStrategy(q, first)
-			strategy = choice.strategy
-			b := make([]byte, 0, 160)
-			b = append(b, "planner: auto expansion: first="...)
-			b = strconv.AppendInt(b, int64(len(first)), 10)
-			b = append(b, " est-last≈"...)
-			b = strconv.AppendInt(b, int64(choice.estLast), 10)
-			b = append(b, " reach≈"...)
-			b = strconv.AppendInt(b, int64(choice.reach), 10)
-			b = append(b, " forward-cost="...)
-			b = strconv.AppendInt(b, int64(choice.fwdCost), 10)
-			b = append(b, " backward-cost="...)
-			b = strconv.AppendInt(b, int64(choice.bwdCost), 10)
-			b = append(b, " → "...)
-			b = append(b, strategy.String()...)
-			b = append(b, " ("...)
-			b = append(b, choice.reason...)
-			b = append(b, ')')
-			ctx.plan.note(string(b))
-			cs.SetInt("estimated last", int64(choice.estLast))
-			cs.SetInt("estimated reach", int64(choice.reach))
-			cs.Set("reason", choice.reason)
-		} else {
-			last = ctx.resolveStep(q.Steps[len(q.Steps)-1], cs)
-			haveLast = true
-			if len(last) <= len(first) {
-				strategy = BackwardExpansion
-			} else {
-				strategy = ForwardExpansion
-			}
-			ctx.plan.notef("auto expansion: first=%d last=%d → %s",
-				len(first), len(last), strategy)
-			cs.SetInt("last", int64(len(last)))
-		}
+		choice := ctx.choosePathStrategy(q, first)
+		strategy = choice.strategy
+		b := make([]byte, 0, 160)
+		b = append(b, "planner: auto expansion: first="...)
+		b = strconv.AppendInt(b, int64(len(first)), 10)
+		b = append(b, " est-last≈"...)
+		b = strconv.AppendInt(b, int64(choice.estLast), 10)
+		b = append(b, " reach≈"...)
+		b = strconv.AppendInt(b, int64(choice.reach), 10)
+		b = append(b, " forward-cost="...)
+		b = strconv.AppendInt(b, int64(choice.fwdCost), 10)
+		b = append(b, " backward-cost="...)
+		b = strconv.AppendInt(b, int64(choice.bwdCost), 10)
+		b = append(b, " → "...)
+		b = append(b, strategy.String()...)
+		b = append(b, " ("...)
+		b = append(b, choice.reason...)
+		b = append(b, ')')
+		ctx.plan.note(string(b))
+		cs.SetInt("estimated last", int64(choice.estLast))
+		cs.SetInt("estimated reach", int64(choice.reach))
+		cs.Set("reason", choice.reason)
 		cs.SetInt("first", int64(len(first)))
 		cs.Set("chosen", strategy.String())
 		cs.Finish()
 	}
 	ctx.plan.setStrategy(strategy.String())
 	if strategy == BackwardExpansion {
-		return e.evalPathBackward(ctx, q, last, haveLast, sp)
+		return e.evalPathBackward(ctx, q, sp)
 	}
 	return e.evalPathForward(ctx, q, first, haveFirst, sp)
 }
@@ -704,17 +673,14 @@ func (e *Engine) evalPathForward(ctx *evalCtx, q *PathQuery, first []catalog.OID
 // processing strategy §7.2 proposes for queries like Q8. Every
 // candidate's verification walk is independent, so candidates shard
 // across the engine's workers.
-func (e *Engine) evalPathBackward(ctx *evalCtx, q *PathQuery, last []catalog.OID, haveLast bool, sp *obs.Span) ([]catalog.OID, error) {
+func (e *Engine) evalPathBackward(ctx *evalCtx, q *PathQuery, sp *obs.Span) ([]catalog.OID, error) {
 	ctx.plan.notef("backward expansion over %d steps", len(q.Steps))
 	bs := startSpan(sp, "backward verification")
 	lastIdx := len(q.Steps) - 1
-	candidates := last
-	if !haveLast {
-		ss := startSpan(bs, "step %d %s", lastIdx+1, q.Steps[lastIdx])
-		candidates = ctx.resolveStep(q.Steps[lastIdx], ss)
-		ss.SetInt("candidates", int64(len(candidates)))
-		ss.Finish()
-	}
+	ss := startSpan(bs, "step %d %s", lastIdx+1, q.Steps[lastIdx])
+	candidates := ctx.resolveStep(q.Steps[lastIdx], ss)
+	ss.SetInt("candidates", int64(len(candidates)))
+	ss.Finish()
 	ctx.plan.notef("  step %d %s: %d candidates", lastIdx+1, q.Steps[lastIdx], len(candidates))
 	bs.SetInt("candidates", int64(len(candidates)))
 	if lastIdx == 0 {
@@ -810,18 +776,18 @@ func (e *Engine) verifyAncestors(ctx *evalCtx, steps []Step, k int, oid catalog.
 	return false, nil
 }
 
-// evalJoin evaluates an equi-join with a hash join. The rule-based
-// planner builds the hash table on the smaller input and probes with the
-// larger one; output rows are always (left, right). The two inputs are
-// evaluated concurrently when the engine is parallel, and probing shards
-// the probe side across workers.
+// evalJoin evaluates an equi-join with a hash join. The planner builds
+// the hash table on the input with the smaller estimated cardinality and
+// probes with the other; output rows are always (left, right). The two
+// inputs are evaluated concurrently when the planner finds them heavy
+// enough, and probing shards the probe side across workers.
 func (e *Engine) evalJoin(ctx *evalCtx, q *JoinQuery, sp *obs.Span) ([][]catalog.OID, []string, error) {
 	js := startSpan(sp, "join")
 	ls := startSpan(js, "left input")
 	rs := startSpan(js, "right input")
 	var leftRows, rightRows [][]catalog.OID
 	var leftErr, rightErr error
-	if ctx.concurrentBranches() {
+	if ctx.concurrentBranches(q.Left, q.Right) {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -852,26 +818,22 @@ func (e *Engine) evalJoin(ctx *evalCtx, q *JoinQuery, sp *obs.Span) ([][]catalog
 		return nil, nil, rightErr
 	}
 
-	// Build-side choice: the adaptive planner decides from estimated
-	// input cardinalities (a pre-execution decision EXPLAIN can pin);
-	// the rule planner uses the materialized row counts.
-	buildLeft := len(leftRows) < len(rightRows)
-	if ctx.planner == PlannerAdaptive && ctx.stats != nil {
-		estL, estR := ctx.estimateQuery(q.Left), ctx.estimateQuery(q.Right)
-		buildLeft = estL < estR
-		b := make([]byte, 0, 80)
-		b = append(b, "planner: join build side by estimate: left≈"...)
-		b = strconv.AppendInt(b, int64(estL), 10)
-		b = append(b, " right≈"...)
-		b = strconv.AppendInt(b, int64(estR), 10)
-		b = append(b, " → build on "...)
-		if buildLeft {
-			b = append(b, "left"...)
-		} else {
-			b = append(b, "right"...)
-		}
-		ctx.plan.note(string(b))
+	// Build-side choice from estimated input cardinalities (a
+	// pre-execution decision EXPLAIN can pin).
+	estL, estR := ctx.estimateQuery(q.Left), ctx.estimateQuery(q.Right)
+	buildLeft := estL < estR
+	b := make([]byte, 0, 80)
+	b = append(b, "planner: join build side by estimate: left≈"...)
+	b = strconv.AppendInt(b, int64(estL), 10)
+	b = append(b, " right≈"...)
+	b = strconv.AppendInt(b, int64(estR), 10)
+	b = append(b, " → build on "...)
+	if buildLeft {
+		b = append(b, "left"...)
+	} else {
+		b = append(b, "right"...)
 	}
+	ctx.plan.note(string(b))
 	build, probe := rightRows, leftRows
 	buildField, probeField := q.On[1], q.On[0]
 	buildIsRight := true
@@ -892,7 +854,7 @@ func (e *Engine) evalJoin(ctx *evalCtx, q *JoinQuery, sp *obs.Span) ([][]catalog
 		if len(row) != 1 {
 			continue
 		}
-		key, ok := e.fieldKey(ctx, buildField, row[0])
+		key, ok := ctx.fieldKey(buildField, row[0])
 		if !ok {
 			continue
 		}
@@ -910,7 +872,7 @@ func (e *Engine) evalJoin(ctx *evalCtx, q *JoinQuery, sp *obs.Span) ([][]catalog
 			if len(row) != 1 {
 				continue
 			}
-			key, ok := e.fieldKey(ctx, probeField, row[0])
+			key, ok := ctx.fieldKey(probeField, row[0])
 			if !ok {
 				continue
 			}
@@ -944,19 +906,19 @@ func (e *Engine) evalJoin(ctx *evalCtx, q *JoinQuery, sp *obs.Span) ([][]catalog
 
 // fieldKey extracts a join key from a view. Keys compare as strings;
 // empty values never join.
-func (e *Engine) fieldKey(ctx *evalCtx, f FieldRef, oid catalog.OID) (string, bool) {
+func (c *evalCtx) fieldKey(f FieldRef, oid catalog.OID) (string, bool) {
 	switch f.Kind {
 	case FieldName:
-		n := ctx.store.NameOf(oid)
+		n := c.store.NameOf(oid)
 		return n, n != ""
 	case FieldClass:
-		entry, err := ctx.store.Entry(oid)
+		entry, err := c.store.Entry(oid)
 		if err != nil || entry.Class == "" {
 			return "", false
 		}
 		return entry.Class, true
 	case FieldTupleAttr:
-		tc, ok := ctx.store.Tuple(oid)
+		tc, ok := c.store.Tuple(oid)
 		if !ok {
 			return "", false
 		}

@@ -10,12 +10,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/textindex"
 	"repro/internal/tupleindex"
+	"repro/internal/wildcard"
 )
 
 // fakeStore is an in-memory Store for evaluator unit tests, backed by
 // the real index structures.
 type fakeStore struct {
 	names    map[catalog.OID]string
+	lower    map[catalog.OID]string // names folded once for MatchNames
 	classes  map[catalog.OID]string
 	children map[catalog.OID][]catalog.OID
 	parents  map[catalog.OID][]catalog.OID
@@ -28,6 +30,7 @@ type fakeStore struct {
 func newFakeStore() *fakeStore {
 	return &fakeStore{
 		names:    make(map[catalog.OID]string),
+		lower:    make(map[catalog.OID]string),
 		classes:  make(map[catalog.OID]string),
 		children: make(map[catalog.OID][]catalog.OID),
 		parents:  make(map[catalog.OID][]catalog.OID),
@@ -39,6 +42,7 @@ func newFakeStore() *fakeStore {
 
 func (f *fakeStore) add(oid catalog.OID, name, class, content string, tc core.TupleComponent, parents ...catalog.OID) {
 	f.names[oid] = name
+	f.lower[oid] = strings.ToLower(name)
 	f.classes[oid] = class
 	if content != "" {
 		f.content.Add(textindex.DocID(oid), content)
@@ -69,8 +73,9 @@ func (f *fakeStore) Entry(oid catalog.OID) (catalog.Entry, error) {
 
 func (f *fakeStore) MatchNames(pattern string) []catalog.OID {
 	var out []catalog.OID
+	lp := strings.ToLower(pattern)
 	for _, oid := range f.all {
-		if WildcardMatch(pattern, f.names[oid]) {
+		if wildcard.MatchLowered(lp, f.lower[oid]) {
 			out = append(out, oid)
 		}
 	}
@@ -118,10 +123,9 @@ func (f *fakeStore) OIDsInClass(class string) []catalog.OID {
 	return out
 }
 
-// fakeStore implements StatsProvider so evaluator tests exercise the
-// adaptive planner's estimate-driven paths. Estimates are computed
-// fresh (the store is tiny), matching the contracts rvm implements.
-var _ StatsProvider = (*fakeStore)(nil)
+// fakeStore's statistics are computed fresh (the store is tiny),
+// matching the contracts rvm implements.
+var _ Store = (*fakeStore)(nil)
 
 func (f *fakeStore) EstimatePhrase(phrase string) int {
 	return f.content.PhraseCardUpper(phrase)
@@ -146,14 +150,6 @@ func (f *fakeStore) EstimateNamePattern(pattern string) (int, bool) {
 
 func (f *fakeStore) EstimateTuple(attr string, op tupleindex.Op, value core.Value) int {
 	return f.tuples.CardEstimate(attr, op, value)
-}
-
-func (f *fakeStore) EstimateFanout(oids []catalog.OID) int {
-	n := 0
-	for _, oid := range oids {
-		n += len(f.children[oid])
-	}
-	return n
 }
 
 func (f *fakeStore) EstimateReach(oids []catalog.OID) int {

@@ -15,17 +15,6 @@ import (
 // goroutine and merge overhead exceeds the work saved.
 const parThreshold = 64
 
-// workersFor caps the configured worker count by the work available.
-func workersFor(par, n int) int {
-	if par <= 1 || n < parThreshold {
-		return 1
-	}
-	if par > n {
-		par = n
-	}
-	return par
-}
-
 // parRange splits [0, n) into w contiguous shards and runs fn(worker,
 // lo, hi) on each concurrently. With w <= 1 it runs inline, so serial
 // execution takes no goroutine at all.

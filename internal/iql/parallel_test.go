@@ -4,12 +4,22 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
 )
+
+// forceFanOut zeroes the planner's work crossover for the rest of the
+// test, so every stage with parThreshold items fans out to the
+// effective parallelism (Options.PlannerProcs lifts the CPU clamp).
+func forceFanOut(t testing.TB) {
+	old := parCrossover
+	parCrossover = 0
+	t.Cleanup(func() { parCrossover = old })
+}
 
 // requireSameResult fails unless two results carry byte-identical
 // Columns and Rows.
@@ -25,11 +35,16 @@ func requireSameResult(t *testing.T, label string, serial, parallel *Result) {
 
 // TestParallelEquivalenceRandom checks that parallel execution returns
 // byte-identical rows to serial execution for every expansion strategy
-// over random dataspaces and random path queries.
+// over random dataspaces and random path queries, with fan-out forced.
+// At least a fifth of the parallel executions must fan out (about 28%
+// do: single-step queries answered wholly by an index have no stage to
+// shard).
 func TestParallelEquivalenceRandom(t *testing.T) {
+	forceFanOut(t)
 	rng := rand.New(rand.NewSource(77))
+	runs, fanned := 0, 0
 	for trial := 0; trial < 40; trial++ {
-		f := randomStore(rng, 30+rng.Intn(120))
+		f := randomStore(rng, 200+rng.Intn(400))
 		q := randomQuery(rng)
 		for _, exp := range []Expansion{ForwardExpansion, BackwardExpansion, AutoExpansion} {
 			serialEng := NewEngine(f, Options{Expansion: exp, Now: fixedNow, Parallelism: 1})
@@ -38,10 +53,14 @@ func TestParallelEquivalenceRandom(t *testing.T) {
 				t.Fatalf("trial %d: serial %v: Query(%q): %v", trial, exp, q, err)
 			}
 			for _, par := range []int{4, 8} {
-				eng := NewEngine(f, Options{Expansion: exp, Now: fixedNow, Parallelism: par})
+				eng := NewEngine(f, Options{Expansion: exp, Now: fixedNow, Parallelism: par, PlannerProcs: par})
 				got, err := eng.Query(q)
 				if err != nil {
 					t.Fatalf("trial %d: par=%d %v: Query(%q): %v", trial, par, exp, q, err)
+				}
+				runs++
+				if got.Plan.ParallelStages > 0 {
+					fanned++
 				}
 				requireSameResult(t, fmt.Sprintf("trial %d %v par=%d %q", trial, exp, par, q), want, got)
 				if want.Plan.Intermediates != got.Plan.Intermediates {
@@ -51,11 +70,18 @@ func TestParallelEquivalenceRandom(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("parallel engines fanned out on %d of %d executions", fanned, runs)
+	if fanned*5 < runs {
+		t.Fatalf("parallel engines fanned out on %d of %d executions, want at least a fifth", fanned, runs)
+	}
 }
 
 // TestParallelEquivalenceUnionJoin covers the union and join operators,
-// whose parallel plans differ structurally from the path case.
+// whose parallel plans differ structurally from the path case. With
+// fan-out forced, every parallel execution runs its branches or join
+// inputs concurrently.
 func TestParallelEquivalenceUnionJoin(t *testing.T) {
+	forceFanOut(t)
 	f := paperStore()
 	queries := []string{
 		`union( //PIM//*["Franklin"], //papers//*["Franklin"] )`,
@@ -70,22 +96,28 @@ func TestParallelEquivalenceUnionJoin(t *testing.T) {
 			t.Fatalf("serial Query(%q): %v", q, err)
 		}
 		for _, par := range []int{4, 8} {
-			eng := NewEngine(f, Options{Now: fixedNow, Parallelism: par})
+			eng := NewEngine(f, Options{Now: fixedNow, Parallelism: par, PlannerProcs: par})
 			got, err := eng.Query(q)
 			if err != nil {
 				t.Fatalf("par=%d Query(%q): %v", par, q, err)
 			}
 			requireSameResult(t, fmt.Sprintf("par=%d %q", par, q), want, got)
+			if got.Plan.ParallelStages == 0 {
+				t.Fatalf("par=%d %q: no stage fanned out", par, q)
+			}
 		}
 	}
 }
 
 // TestConcurrentQueries hammers one engine from many goroutines; run
 // with -race to catch shared-state races in the evaluator's memoized
-// index lookups and plan counters.
+// index lookups and plan counters. Fan-out is forced, so the union and
+// join queries (two of five) run their inputs concurrently inside each
+// goroutine.
 func TestConcurrentQueries(t *testing.T) {
+	forceFanOut(t)
 	f := paperStore()
-	eng := NewEngine(f, Options{Expansion: AutoExpansion, Now: fixedNow, Parallelism: 4})
+	eng := NewEngine(f, Options{Expansion: AutoExpansion, Now: fixedNow, Parallelism: 4, PlannerProcs: 4})
 	queries := []string{
 		`//root//Introduction`,
 		`//*["Franklin"]`,
@@ -100,6 +132,10 @@ func TestConcurrentQueries(t *testing.T) {
 			t.Fatalf("Query(%q): %v", q, err)
 		}
 		want[i] = r
+		branched := strings.HasPrefix(q, "union") || strings.HasPrefix(q, "join")
+		if branched && r.Plan.ParallelStages == 0 {
+			t.Fatalf("Query(%q): no stage fanned out", q)
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -162,8 +198,7 @@ func TestBudgetBoundary(t *testing.T) {
 }
 
 // TestAutoExpansionSingleResolve verifies the auto strategy resolves
-// each anchor step exactly once: the plan must report one resolution of
-// the first step and one of the last, with no duplicate index work.
+// each anchor step at most once, with no duplicate index work.
 func TestAutoExpansionSingleResolve(t *testing.T) {
 	f := paperStore()
 	auto := NewEngine(f, Options{Expansion: AutoExpansion, Now: fixedNow, Parallelism: 1})
@@ -171,10 +206,9 @@ func TestAutoExpansionSingleResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Auto picks backward here (1 root vs 2 Introductions is false:
-	// first=1 last=2 → forward... whichever it picks, the index-access
-	// count must not exceed the chosen strategy's own accesses plus one
-	// extra anchor resolution.
+	// Whichever direction auto picks, the index-access count must not
+	// exceed the chosen strategy's own accesses plus one extra anchor
+	// resolution (the first anchor, resolved before a backward choice).
 	fwd := NewEngine(f, Options{Expansion: ForwardExpansion, Now: fixedNow, Parallelism: 1})
 	fres, err := fwd.Query(`//root//Introduction`)
 	if err != nil {

@@ -16,8 +16,9 @@ import (
 )
 
 // Store is the interface the evaluator needs from the Resource View
-// Manager: replica/index-backed lookups plus graph navigation over the
-// group replica. Implementations must be safe for concurrent readers —
+// Manager: replica/index-backed lookups, graph navigation over the group
+// replica, and the cardinality statistics the planner estimates
+// from. Implementations must be safe for concurrent readers —
 // the engine fans query stages out across workers.
 type Store interface {
 	// AllOIDs returns every managed OID in ascending order.
@@ -50,6 +51,33 @@ type Store interface {
 	// OIDsInClass returns views whose class is the named class or a
 	// specialization of it.
 	OIDsInClass(class string) []catalog.OID
+
+	// The Estimate* methods are the statistics the cost-based planner
+	// reads before execution. Each must be O(1) or O(log n) against
+	// index metadata (posting-list lengths, column spans, class-member
+	// counts) — an estimate that costs as much as the lookup it predicts
+	// is useless. Estimates are upper bounds, never exact guarantees:
+	// the planner uses them to order work and pick strategies, and
+	// execution stays exact regardless of estimation error.
+
+	// EstimatePhrase bounds the number of views whose content contains
+	// the phrase (min posting-list length over the phrase's tokens).
+	EstimatePhrase(phrase string) int
+	// EstimateClass bounds the number of views in the class or a
+	// specialization of it.
+	EstimateClass(class string) int
+	// EstimateNamePattern bounds the number of views whose name matches
+	// the pattern. ok is false when the pattern needs a scan to count
+	// (wildcards); exact-name patterns answer from the name replica's
+	// exact-match lane in O(1).
+	EstimateNamePattern(pattern string) (n int, ok bool)
+	// EstimateTuple bounds the number of views whose attribute
+	// satisfies (op, value), from the sorted column span.
+	EstimateTuple(attr string, op tupleindex.Op, value core.Value) int
+	// EstimateReach bounds the number of views reachable from the given
+	// views through group edges (the cost of one '//' expansion),
+	// capped at the store's view count.
+	EstimateReach(oids []catalog.OID) int
 }
 
 // childAppender is an optional Store fast path: append oid's children
@@ -84,7 +112,7 @@ func (e Expansion) String() string {
 	}
 }
 
-// PlanInfo records the rule-based planner's decisions, for EXPLAIN-style
+// PlanInfo records the planner's decisions, for EXPLAIN-style
 // output and for the evaluation harness (Figure 6 discusses Q8's
 // intermediate-result blow-up). One PlanInfo is shared by all workers of
 // a query: the counters are updated atomically and the notes under a
@@ -104,7 +132,7 @@ type PlanInfo struct {
 	// IndexAccesses counts index-backed candidate fetches.
 	IndexAccesses int64
 	// EstimatedRows is the planner's pre-execution result-size bound
-	// (statistics only; -1 when the planner made no estimate).
+	// (statistics only).
 	EstimatedRows int64
 	// ParallelStages / SerialStages count the planner's per-stage
 	// serial-vs-parallel decisions during this query.
@@ -114,7 +142,7 @@ type PlanInfo struct {
 	// ahead of path expansion.
 	Pushdowns int64
 	// ResidualSkips counts step resolutions whose residual filter the
-	// adaptive planner elided because the index intersection already
+	// planner elided because the index intersection already
 	// covered the step exactly.
 	ResidualSkips int64
 	// RowsScanned counts candidate views examined by residual filters,
@@ -144,7 +172,7 @@ func (p *PlanInfo) notef(format string, args ...any) {
 }
 
 // note appends a preformatted message. The planner notes emitted on
-// every adaptive query build their strings with strconv appends and
+// every query build their strings with strconv appends and
 // call this directly: fmt.Sprintf there is measurable overhead on
 // microsecond-scale queries.
 func (p *PlanInfo) note(msg string) {
@@ -202,21 +230,13 @@ func newIndexSet(oids []catalog.OID) *indexSet {
 }
 
 // evalCtx carries per-query state: memoized index lookups (shared by all
-// workers of the query, guarded by memoMu) and the parallelism the
-// engine was configured with.
+// workers of the query, guarded by memoMu) and the worker ceiling.
 type evalCtx struct {
 	store Store
 	plan  *PlanInfo
-	// par is the worker count data-parallel stages fan out to (>= 1).
-	par int
-	// planner selects rule-based vs cost-based physical decisions.
-	planner PlannerMode
-	// effPar is the adaptive planner's worker ceiling: par clamped by
-	// the schedulable CPUs (>= 1; ignored in rule mode).
+	// effPar is the planner's worker ceiling: the configured parallelism
+	// clamped by the schedulable CPUs (>= 1).
 	effPar int
-	// stats is the store's statistics surface, nil when the store does
-	// not implement StatsProvider.
-	stats StatsProvider
 	// children appends oid's directly related views to dst, using the
 	// store's append fast path when available.
 	children func(dst []catalog.OID, oid catalog.OID) []catalog.OID
@@ -242,15 +262,14 @@ type evalCtx struct {
 	sharedVersion uint64
 }
 
-func newEvalCtx(store Store, plan *PlanInfo, par int) *evalCtx {
-	if par < 1 {
-		par = 1
+func newEvalCtx(store Store, plan *PlanInfo, effPar int) *evalCtx {
+	if effPar < 1 {
+		effPar = 1
 	}
 	c := &evalCtx{
 		store:      store,
 		plan:       plan,
-		par:        par,
-		effPar:     1,
+		effPar:     effPar,
 		phraseSets: make(map[string]*indexSet),
 		classSets:  make(map[string]*indexSet),
 		nameSets:   make(map[string]*indexSet),
@@ -447,8 +466,8 @@ func (c *evalCtx) matchStep(s Step, oid catalog.OID) bool {
 }
 
 // resolveStep returns all views in the dataspace matching a step's
-// pattern and predicate, using indexes where the rule-based planner
-// finds them applicable and falling back to a scan otherwise. The final
+// pattern and predicate, intersecting every index that answers one of
+// its constraints and falling back to a scan when none does. The final
 // residual filter shards across workers when the candidate list is
 // large.
 func (c *evalCtx) resolveStep(s Step, sp *obs.Span) []catalog.OID {
@@ -518,10 +537,10 @@ func (c *evalCtx) resolveStep(s Step, sp *obs.Span) []catalog.OID {
 		sp.Set("access", "full scan")
 		covered = false
 	}
-	if covered && c.planner == PlannerAdaptive {
+	if covered {
 		// Every constraint of the step was answered exactly by the index
 		// intersection: the residual filter would re-check what the
-		// indexes already guarantee, so the adaptive planner elides it.
+		// indexes already guarantee, so the planner elides it.
 		c.plan.addResidualSkips(1)
 		c.plan.notef("  planner: residual filter elided (step fully index-covered)")
 		sp.Set("residual", "elided (index-covered)")

@@ -27,7 +27,7 @@ func TestPlannerPlanCacheEstimateInvalidation(t *testing.T) {
 	s := newVersionedFake()
 	s.add(1, "a.txt", "textdocument", "alpha beta", core.TupleComponent{})
 	s.add(2, "b.txt", "textdocument", "alpha", core.TupleComponent{})
-	e := NewEngine(s, Options{Planner: PlannerAdaptive, Parallelism: 1})
+	e := NewEngine(s, Options{Parallelism: 1})
 
 	const src = `"alpha"`
 	res, err := e.Query(src)
@@ -70,7 +70,7 @@ func TestPlannerPlanCacheEstimateInvalidation(t *testing.T) {
 func TestPlannerPlanCacheClockDependentParse(t *testing.T) {
 	s := newVersionedFake()
 	s.add(1, "a.txt", "textdocument", "alpha", core.TupleComponent{})
-	e := NewEngine(s, Options{Planner: PlannerAdaptive, Parallelism: 1})
+	e := NewEngine(s, Options{Parallelism: 1})
 
 	clocked := `[lastmodified < today()]`
 	if _, err := e.Query(clocked); err != nil {
@@ -96,7 +96,7 @@ func TestPlannerPlanCacheClockDependentParse(t *testing.T) {
 func TestPlannerPlanCacheUnversionedStore(t *testing.T) {
 	s := newFakeStore()
 	s.add(1, "a.txt", "textdocument", "alpha", core.TupleComponent{})
-	e := NewEngine(s, Options{Planner: PlannerAdaptive, Parallelism: 1})
+	e := NewEngine(s, Options{Parallelism: 1})
 
 	const src = `"alpha"`
 	for i := 0; i < 2; i++ {

@@ -6,34 +6,34 @@ import (
 	"repro/internal/catalog"
 )
 
-// PlannerMode selects how the engine makes physical decisions: the
-// legacy rule-based planner (fixed global parallelism, anchor choice by
-// raw candidate counts) or the cost-based adaptive planner (per-stage
-// serial/parallel crossover, expansion direction by estimated expansion
-// cost, residual-filter elision on index-covered steps).
+// PlannerMode selected the physical decision maker; it is kept because
+// the benchmark module still sets Options.Planner.
+//
+// Deprecated: ignored; the engine always plans by cost.
 type PlannerMode int
 
-// Planner modes. The zero value preserves the engine's historical
-// rule-based behaviour exactly; the PDSMS facade defaults to adaptive.
-const (
-	PlannerRule PlannerMode = iota
-	PlannerAdaptive
-)
+// PlannerAdaptive named the cost-based planner.
+//
+// Deprecated: ignored; the engine always plans by cost.
+const PlannerAdaptive PlannerMode = 1
 
-func (m PlannerMode) String() string {
-	if m == PlannerAdaptive {
-		return "adaptive"
-	}
-	return "rule"
-}
+// parCrossover is the estimated work (items × per-item cost units) a
+// stage must carry before the planner fans it out. Calibrated against
+// this engine's stage overhead: spawning and joining a worker group
+// costs a few microseconds, one cost unit is a few nanoseconds, so below
+// ~16k units the goroutine and merge overhead exceeds the work saved
+// (the measured crossover sits between 10k and 50k units; see docs/IQL.md
+// "Cost-based planning"). A variable only so this package's tests can
+// zero it and force every eligible stage parallel.
+var parCrossover = 1 << 14
 
-// effectiveParallelism is the worker ceiling the adaptive planner will
-// actually fan out to: the configured parallelism clamped by the
-// schedulable CPUs (PlannerProcs overrides the CPU count, for tests
-// that exercise parallel plans on small machines). Oversubscribing a
-// box never helps a CPU-bound stage — goroutines beyond the core count
-// only multiplex and add merge overhead, which is exactly the regression
-// the planner exists to avoid.
+// effectiveParallelism is the worker ceiling the planner will actually
+// fan out to: the configured parallelism clamped by the schedulable
+// CPUs (PlannerProcs overrides the CPU count, for tests that exercise
+// parallel plans on small machines). Oversubscribing a box never helps a
+// CPU-bound stage — goroutines beyond the core count only multiplex and
+// add merge overhead, which is exactly the regression the planner
+// exists to avoid.
 func (o Options) effectiveParallelism() int {
 	procs := o.PlannerProcs
 	if procs <= 0 {
@@ -52,45 +52,48 @@ func (o Options) effectiveParallelism() int {
 }
 
 // workers decides the worker count for one data-parallel stage of n
-// items costing perItem work units each. Rule mode keeps the legacy
-// behaviour (fan out whenever the engine is parallel and the stage has
-// parThreshold items). Adaptive mode additionally requires the stage's
-// estimated work to clear the calibrated crossover and never exceeds
-// the effective (CPU-clamped) parallelism. Every call is one planner
-// stage decision, counted on the plan for the idm_planner_* metrics.
+// items costing perItem work units each: the stage fans out only when
+// it has parThreshold items and its estimated work clears parCrossover,
+// and never beyond the effective (CPU-clamped) parallelism. Every call
+// is one planner stage decision, counted on the plan for the
+// idm_planner_* metrics.
 func (c *evalCtx) workers(n, perItem int) int {
-	var w int
-	if c.planner != PlannerAdaptive {
-		w = workersFor(c.par, n)
-	} else {
-		w = workersFor(c.effPar, n)
-		if w > 1 {
-			if perItem < 1 {
-				perItem = 1
-			}
-			if n*perItem < parCrossover {
-				w = 1
-			}
-		}
-	}
-	if w > 1 {
-		c.plan.addParallelStages(1)
-	} else {
+	if c.effPar <= 1 || n < parThreshold || n*max(perItem, 1) < parCrossover {
 		c.plan.addSerialStages(1)
+		return 1
 	}
-	return w
+	c.plan.addParallelStages(1)
+	return min(c.effPar, n)
 }
 
 // concurrentBranches reports whether independent sub-queries (union
-// branches, join inputs) should evaluate concurrently.
-func (c *evalCtx) concurrentBranches() bool {
-	if c.planner != PlannerAdaptive {
-		return c.par > 1
+// branches, join inputs) should evaluate concurrently: only when the
+// worker ceiling allows it and their combined work clears the same
+// crossover data-parallel stages use. A branch's work is taken as its
+// estimated row count, one unit per row — a floor, since every row
+// costs at least one probe. The floor is deliberate: goroutines running
+// whole sub-queries contend on the store's shared locks and counters,
+// so the paper's Q8 (two wildcard-anchored join inputs, ~7k estimated
+// rows at scale 0.05) measured slower concurrent than serial, and only
+// its 10x-scale shape (~126k) gains. The estimates are memoized per
+// query, and a ceiling of 1 answers before reading any, so serial
+// engines pay nothing for the decision.
+func (c *evalCtx) concurrentBranches(qs ...Query) bool {
+	if c.effPar <= 1 {
+		return false
 	}
-	return c.effPar > 1
+	work := 0
+	for _, q := range qs {
+		work += c.estimateQuery(q)
+	}
+	if work < parCrossover {
+		return false
+	}
+	c.plan.addParallelStages(1)
+	return true
 }
 
-// pathChoice is the adaptive planner's decision for one path query.
+// pathChoice is the planner's decision for one path query.
 type pathChoice struct {
 	strategy Expansion
 	estLast  int
@@ -110,11 +113,10 @@ type pathChoice struct {
 // selective. The last anchor is deliberately NOT resolved here: its
 // cardinality comes from statistics, so the unchosen direction's
 // anchor (which can cost a full wildcard name scan) is never
-// materialized — the rule planner's auto mode pays exactly that double
-// resolution. Caller guarantees c.stats != nil.
+// materialized.
 func (c *evalCtx) choosePathStrategy(q *PathQuery, first []catalog.OID) pathChoice {
 	steps := q.Steps
-	reach := c.stats.EstimateReach(first)
+	reach := c.store.EstimateReach(first)
 	estLast := c.estimateQuery(q)
 	match := 1
 	for _, s := range steps[1:] {

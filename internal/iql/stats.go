@@ -25,7 +25,7 @@ type QueryStats struct {
 	// content, tuple and class indexes.
 	PostingsRead int64 `json:"postings_read"`
 	// ResidualFilters counts residual-filter stages that ran (the
-	// adaptive planner elides index-covered ones).
+	// planner elides index-covered ones).
 	ResidualFilters int64 `json:"residual_filters"`
 	// ViewsExpanded counts views touched during path expansion (the
 	// §7.2 intermediate-result metric).
@@ -34,8 +34,7 @@ type QueryStats struct {
 	PeakFrontier int64 `json:"peak_frontier"`
 	// IndexAccesses counts index-backed candidate fetches.
 	IndexAccesses int64 `json:"index_accesses"`
-	// EstimatedRows is the cost-based planner's pre-execution bound
-	// (-1 when the rule planner made no estimate).
+	// EstimatedRows is the planner's pre-execution bound.
 	EstimatedRows int64 `json:"estimated_rows"`
 	// ParallelStages / SerialStages count per-stage fan-out decisions.
 	ParallelStages int64 `json:"parallel_stages"`
@@ -43,8 +42,6 @@ type QueryStats struct {
 	// Strategy is the top-level physical strategy ("forward",
 	// "backward", "single step", "predicate", "union", "join").
 	Strategy string `json:"strategy"`
-	// Planner names the decision maker ("rule" or "adaptive").
-	Planner string `json:"planner"`
 	// CacheHit marks results served from the facade's query cache (set
 	// by the facade; always false engine-side).
 	CacheHit bool `json:"cache_hit"`

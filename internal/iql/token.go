@@ -3,7 +3,7 @@
 // with path expressions over the resource view graph, predicates on
 // tuple-component attributes and resource view classes, wildcards in
 // name steps, and union and join operators. The package provides the
-// lexer, parser, rule-based planner and evaluator; evaluation runs
+// lexer, parser, cost-based planner and evaluator; evaluation runs
 // against any Store (the Resource View Manager implements it).
 package iql
 

@@ -13,7 +13,9 @@ import (
 func TestQueryTracedSpanTree(t *testing.T) {
 	f := paperStore()
 	e := NewEngine(f, Options{Expansion: ForwardExpansion, Now: fixedNow, Parallelism: 1})
-	res, tr, err := e.QueryTraced(`//Introduction["Franklin"]//[class="texref"]`)
+	// The NOT conjunct has no exact index answer, so step 1 keeps its
+	// residual filter.
+	res, tr, err := e.QueryTraced(`//Introduction["Franklin" and not class="figure"]//[class="texref"]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestQueryTracedSpanTree(t *testing.T) {
 		t.Errorf("trace missing residual filter span:\n%s", tr.Render())
 	}
 	out := tr.Render()
-	if !strings.Contains(out, `query //Introduction["Franklin"]//[class="texref"]`) {
+	if !strings.Contains(out, `query //Introduction["Franklin" and not class="figure"]//[class="texref"]`) {
 		t.Errorf("render missing query name:\n%s", out)
 	}
 }
@@ -75,40 +77,57 @@ func flatStore(n int) *fakeStore {
 	return f
 }
 
+// TestQueryTracedWorkerSpans forces fan-out and checks that sharded
+// stages record one span per worker: the residual filter of a step no
+// index answers exactly, and an expansion level with a wide frontier.
 func TestQueryTracedWorkerSpans(t *testing.T) {
+	forceFanOut(t)
 	f := flatStore(4 * parThreshold)
-	e := NewEngine(f, Options{Expansion: ForwardExpansion, Now: fixedNow, Parallelism: 4})
-	res, tr, err := e.QueryTraced(`//doc*[ "blob" ]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count() != 4*parThreshold {
-		t.Fatalf("rows = %d, want %d", res.Count(), 4*parThreshold)
-	}
-	rf := tr.Root().FindPrefix("residual filter")
-	if rf == nil {
-		t.Fatalf("trace missing residual filter span:\n%s", tr.Render())
-	}
-	workers := 0
-	for _, c := range rf.Children() {
-		if strings.HasPrefix(c.Name(), "worker ") {
-			workers++
+	e := NewEngine(f, Options{Expansion: ForwardExpansion, Now: fixedNow, Parallelism: 4, PlannerProcs: 4})
+	for _, tc := range []struct{ q, stage string }{
+		{`//doc*[ "blob" or "wide" ]`, "residual filter"},
+		{`//root//*`, "level 2"},
+	} {
+		res, tr, err := e.QueryTraced(tc.q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if workers < 2 {
-		t.Errorf("residual filter recorded %d worker spans, want >= 2:\n%s", workers, tr.Render())
+		if res.Count() != 4*parThreshold {
+			t.Fatalf("%s: rows = %d, want %d", tc.q, res.Count(), 4*parThreshold)
+		}
+		if res.Plan.ParallelStages == 0 {
+			t.Errorf("%s: no stage fanned out", tc.q)
+		}
+		sp := tr.Root().FindPrefix(tc.stage)
+		if sp == nil {
+			t.Fatalf("%s: trace missing %s span:\n%s", tc.q, tc.stage, tr.Render())
+		}
+		workers := 0
+		for _, c := range sp.Children() {
+			if strings.HasPrefix(c.Name(), "worker ") {
+				workers++
+			}
+		}
+		if workers < 2 {
+			t.Errorf("%s: %s recorded %d worker spans, want >= 2:\n%s", tc.q, tc.stage, workers, tr.Render())
+		}
 	}
 }
 
+// TestQueryTracedSerialHasNoWorkerSpans checks that a serial engine
+// never fans out, even with the work crossover zeroed.
 func TestQueryTracedSerialHasNoWorkerSpans(t *testing.T) {
+	forceFanOut(t)
 	f := flatStore(4 * parThreshold)
-	e := NewEngine(f, Options{Expansion: ForwardExpansion, Now: fixedNow, Parallelism: 1})
-	_, tr, err := e.QueryTraced(`//doc*[ "blob" ]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(tr.Render(), "worker ") {
-		t.Errorf("serial query recorded worker spans:\n%s", tr.Render())
+	e := NewEngine(f, Options{Expansion: ForwardExpansion, Now: fixedNow, Parallelism: 1, PlannerProcs: 4})
+	for _, q := range []string{`//doc*[ "blob" or "wide" ]`, `//root//*`} {
+		_, tr, err := e.QueryTraced(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(tr.Render(), "worker ") {
+			t.Errorf("serial query recorded worker spans:\n%s", tr.Render())
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/wildcard"
 )
 
-// This file implements the iql.StatsProvider contract on the manager:
+// This file implements the Estimate* methods of iql.Store on the manager:
 // cheap cardinality estimates answered from index metadata the
 // Replica&Indexes module already maintains. Every estimate is an upper
 // bound; the query processor uses them only to order work and pick
@@ -91,31 +91,6 @@ func (m *Manager) EstimateNamePattern(pattern string) (int, bool) {
 // (op, value) from the sorted column span, O(log n).
 func (m *Manager) EstimateTuple(attr string, op tupleindex.Op, value core.Value) int {
 	return m.tupleIdx.CardEstimate(attr, op, value)
-}
-
-// estimateSampleCap bounds the work of fanout estimation over large
-// inputs: beyond it the estimate extrapolates from an even sample.
-const estimateSampleCap = 512
-
-// EstimateFanout bounds the number of child edges leaving the given
-// views, from the group replica's adjacency lists.
-func (m *Manager) EstimateFanout(oids []catalog.OID) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(oids) <= estimateSampleCap {
-		n := 0
-		for _, oid := range oids {
-			n += len(m.groupRep[oid])
-		}
-		return n
-	}
-	step := len(oids) / estimateSampleCap
-	n, sampled := 0, 0
-	for i := 0; i < len(oids); i += step {
-		n += len(m.groupRep[oids[i]])
-		sampled++
-	}
-	return n * len(oids) / sampled
 }
 
 // EstimateReach bounds the number of views reachable from the given

@@ -273,8 +273,13 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request, tenant string
 
 // throttle answers backpressure/quota saturation: always 429 with a
 // Retry-After so well-behaved clients back off instead of erroring.
+// Connection: close sends the reply at once: without it net/http first
+// reads and discards up to 256 KB of unread request body, so a client
+// streaming its body slowly would learn it was throttled only after
+// sending all of it.
 func (s *Server) throttle(w http.ResponseWriter, msg string) {
 	s.met.throttled.Inc()
+	w.Header().Set("Connection", "close")
 	w.Header().Set("Retry-After", "1")
 	writeErr(w, http.StatusTooManyRequests, msg)
 }

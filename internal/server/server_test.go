@@ -258,12 +258,39 @@ func TestQuerySlotThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Slow client: the request body arrives... eventually. Cleanups run
-	// last-registered first, so a failure below closes the pipe before
-	// the test server's Close waits for the request to finish.
+	finish := holdQuerySlot(t, srv, c, "slow", `"slowmark"`)
+	code, _, err := c.do("POST", "slow", "/query", map[string]any{"q": `"slowmark"`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("concurrent query while the slot was held: status %d, want 429", code)
+	}
+
+	// The other tenant keeps its own slots.
+	if _, code, err := c.query("fast", `"fastmark"`, "", 0); err != nil || code != http.StatusOK {
+		t.Fatalf("other tenant throttled too: %d %v", code, err)
+	}
+
+	// Completing the body releases the slot.
+	finish()
+	if _, code, err := c.query("slow", `"slowmark"`, "", 0); err != nil || code != http.StatusOK {
+		t.Fatalf("slot not released: %d %v", code, err)
+	}
+}
+
+// holdQuerySlot starts a query on tenant whose request body arrives
+// only when the returned finish is called, and waits until the server
+// holds the tenant's query slot for it: a query sent earlier could take
+// the slot first and turn the slow request away instead. finish sends
+// the body (a query for q) and fails the test unless the query succeeds.
+func holdQuerySlot(t *testing.T, srv *Server, c *tclient, tenant, q string) (finish func()) {
+	t.Helper()
+	// Cleanups run last-registered first, so a failure closes the pipe
+	// before the test server's Close waits for the request to finish.
 	pr, pw := io.Pipe()
 	t.Cleanup(func() { pw.Close() })
-	req, err := http.NewRequest("POST", c.base+"/v1/t/slow/query", pr)
+	req, err := http.NewRequest("POST", c.base+"/v1/t/"+tenant+"/query", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,36 +306,60 @@ func TestQuerySlotThrottle(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Give the slow request time to occupy the slot. Only then query:
-	// a query sent earlier could take the slot first and turn the slow
-	// request away instead.
 	waitFor(t, 5*time.Second, func() bool {
-		return querySlotsHeld(srv, "slow") == 1
+		return querySlotsHeld(srv, tenant) == 1
 	}, "slow request never took the query slot")
-	code, _, err := c.do("POST", "slow", "/query", map[string]any{"q": `"slowmark"`})
+	return func() {
+		t.Helper()
+		body, err := json.Marshal(map[string]string{"q": q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pw.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		pw.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestThrottleRepliesBeforeBody pins that a throttled client learns so
+// at once: the 429 and its Retry-After arrive while the client is still
+// sending its declared body. Without Connection: close, net/http would
+// first drain up to 256 KB of unread body, holding the reply (and a
+// goroutine) until the slow client finished sending.
+func TestThrottleRepliesBeforeBody(t *testing.T) {
+	srv, c := newTestServer(t, Config{Quota: Quota{MaxConcurrentQueries: 1}})
+	if err := seedTenant(c, "slow", "slowmark", 2); err != nil {
+		t.Fatal(err)
+	}
+	finish := holdQuerySlot(t, srv, c, "slow", `"slowmark"`)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(c.base, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("concurrent query while the slot was held: status %d, want 429", code)
-	}
-
-	// The other tenant keeps its own slots.
-	if _, code, err := c.query("fast", `"fastmark"`, "", 0); err != nil || code != http.StatusOK {
-		t.Fatalf("other tenant throttled too: %d %v", code, err)
-	}
-
-	// Completing the body releases the slot.
-	if _, err := pw.Write([]byte(`{"q":"\"slowmark\""}`)); err != nil {
+	defer conn.Close()
+	body := []byte(`{"q":"` + strings.Repeat("x", 4000) + `"}`)
+	half := len(body) / 2
+	if _, err := fmt.Fprintf(conn, "POST /v1/t/slow/query HTTP/1.1\r\nHost: imemexd\r\n"+
+		"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body[:half]); err != nil {
 		t.Fatal(err)
 	}
-	pw.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no reply while the throttled request's body was still arriving: %v", err)
 	}
-	if _, code, err := c.query("slow", `"slowmark"`, "", 0); err != nil || code != http.StatusOK {
-		t.Fatalf("slot not released: %d %v", code, err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("throttled request got %d with Retry-After %q, want 429 with one",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
+	conn.Write(body[half:]) // the server may have closed the connection already
+	finish()
 }
 
 // querySlotsHeld reports how many of tenant's query slots are taken.

@@ -17,7 +17,6 @@ package server
 import (
 	"container/list"
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sync"
@@ -275,12 +274,10 @@ func (t *tenantTable) openCount() int {
 }
 
 // openTenant opens (or recovers) one tenant's durable System rooted at
-// Root/<name>.
+// Root/<name>. The store creates the directory and fsyncs Root, so a new
+// tenant's name survives a power cut with its first records.
 func (s *Server) openTenant(name string) (*idm.System, error) {
 	dir := filepath.Join(s.cfg.Root, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: tenant %s: %w", name, err)
-	}
 	par := s.cfg.TenantParallelism
 	if par <= 0 {
 		// Per-query parallelism is counterproductive when many tenants

@@ -152,6 +152,37 @@ func sourceOfSegment(name string) string {
 	return string(b)
 }
 
+// mkdirAllSynced creates dir and any missing parents like os.MkdirAll
+// and, when sync is set, then fsyncs the parent of every directory it
+// created, outermost first: a new directory's name is durable only once
+// its parent is.
+func mkdirAllSynced(dir string, sync bool) error {
+	var created []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); err == nil {
+			break
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+		created = append(created, d)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if !sync {
+		return nil
+	}
+	for i := len(created) - 1; i >= 0; i-- {
+		if err := syncDir(filepath.Dir(created[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Open opens (creating if needed) the store at dir and recovers its
 // state: the newest valid snapshot is loaded, then every WAL segment is
 // replayed in one LSN-ordered merge, tolerating a torn final record per
@@ -168,16 +199,11 @@ func Open(dir string, opts Options) (*Store, RecoveryInfo, error) {
 		nextLSN:  1,
 		segments: make(map[string]*os.File),
 	}
-	_, statErr := os.Stat(s.walDir)
-	if err := os.MkdirAll(s.walDir, 0o755); err != nil {
+	// Every directory this open creates — wal/, and dir itself with any
+	// missing parents — must be on disk before any record inside it is
+	// acknowledged.
+	if err := mkdirAllSynced(s.walDir, opts.Sync != SyncNever); err != nil {
 		return nil, RecoveryInfo{}, err
-	}
-	// A wal/ directory this open created must be on disk before any
-	// record inside it is acknowledged.
-	if os.IsNotExist(statErr) && opts.Sync != SyncNever {
-		if err := syncDir(dir); err != nil {
-			return nil, RecoveryInfo{}, err
-		}
 	}
 	lock, err := AcquireDirLock(dir)
 	if err != nil {

@@ -337,6 +337,43 @@ func TestReplay100k(t *testing.T) {
 	t.Logf("replayed %d records in %v", n, elapsed)
 }
 
+// TestOpenSyncsNewDirectoryParents pins the durability of a new data
+// directory's name (a new tenant under the daemon's root, a new
+// -data-dir): Open on a path whose parents do not exist yet fsyncs the
+// parent of every directory it creates, outermost first — fsyncing only
+// the data directory for wal/ leaves the data directory itself, and the
+// acknowledged records in it, to a power cut. SyncNever skips them all.
+func TestOpenSyncsNewDirectoryParents(t *testing.T) {
+	var synced []string
+	orig := syncDir
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return orig(dir)
+	}
+	defer func() { syncDir = orig }()
+
+	root := t.TempDir()
+	dir := filepath.Join(root, "tenants", "alice")
+	s, _ := mustOpen(t, dir, Options{})
+	s.Close()
+	if want := []string{root, filepath.Join(root, "tenants"), dir}; fmt.Sprint(synced) != fmt.Sprint(want) {
+		t.Fatalf("open of a new nested directory fsynced %v, want %v", synced, want)
+	}
+
+	synced = nil
+	s, _ = mustOpen(t, dir, Options{})
+	s.Close()
+	if len(synced) != 0 {
+		t.Fatalf("reopen fsynced %v, want nothing", synced)
+	}
+
+	s, _ = mustOpen(t, filepath.Join(t.TempDir(), "a", "b"), Options{Sync: SyncNever})
+	s.Close()
+	if len(synced) != 0 {
+		t.Fatalf("SyncNever open fsynced %v, want nothing", synced)
+	}
+}
+
 // TestNewSegmentSyncsDirectory pins the durability of a new file's name:
 // creating wal/ or a segment inside it fsyncs the parent directory
 // (unless the policy is SyncNever), once per creation — fsyncing the

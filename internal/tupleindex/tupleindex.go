@@ -350,18 +350,18 @@ func (ix *Index) AttrCard(attr string) int {
 // (op, value) using the same binary searches as Query but without
 // materializing ids: the width of the matching span (incomparable
 // values at the span edges may inflate the bound slightly). O(log n)
-// after the column is sorted.
+// after the column is sorted. The lock is held through the searches:
+// writers compact and re-sort col.entries in place (see Query).
 func (ix *Index) CardEstimate(attr string, op Op, value core.Value) int {
 	name := strings.ToLower(attr)
 	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	col, ok := ix.columns[name]
 	if !ok {
-		ix.mu.Unlock()
 		return 0
 	}
 	col.ensureSorted()
 	entries := col.entries
-	ix.mu.Unlock()
 
 	lo := sort.Search(len(entries), func(i int) bool {
 		c, err := core.Compare(entries[i].value, value)

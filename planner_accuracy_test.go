@@ -54,8 +54,8 @@ type estSample struct {
 }
 
 // TestPlannerCardinalityAccuracy runs the 8 paper queries plus 200
-// grammar-generated queries on the evaluation dataset under the
-// adaptive planner and checks every recorded row estimate against the
+// grammar-generated queries on the evaluation dataset with automatic
+// expansion and checks every recorded row estimate against the
 // actual result cardinality. On failure it prints the worst offenders,
 // most severe first.
 func TestPlannerCardinalityAccuracy(t *testing.T) {
@@ -66,7 +66,7 @@ func TestPlannerCardinalityAccuracy(t *testing.T) {
 	if err := s.Index(); err != nil {
 		t.Fatal(err)
 	}
-	e := s.AdaptiveEngine(1)
+	e := s.EngineWith(iql.AutoExpansion, 1)
 
 	var queries []string
 	for _, q := range experiments.PaperQueries() {
@@ -89,7 +89,7 @@ func TestPlannerCardinalityAccuracy(t *testing.T) {
 		evaluated++
 		est := res.Plan.EstimatedRows
 		if est < 0 {
-			t.Fatalf("adaptive run of %q recorded no estimate", q)
+			t.Fatalf("run of %q recorded a negative estimate", q)
 		}
 		actual := int64(res.Count())
 		ast, err := iql.ParseWith(q, iql.ParseOptions{Now: experiments.Clock})

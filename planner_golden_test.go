@@ -8,9 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/iql"
 )
 
-// TestPlannerChoicesGolden pins the adaptive planner's decisions — the
+// TestPlannerChoicesGolden pins the planner's decisions — the
 // chosen strategy, the row estimate, and every "planner:" note — for
 // the eight paper queries over the deterministic evaluation dataspace.
 // The goldens make cost-model changes reviewable: recalibrating a
@@ -26,7 +27,7 @@ func TestPlannerChoicesGolden(t *testing.T) {
 	if err := s.Index(); err != nil {
 		t.Fatal(err)
 	}
-	e := s.AdaptiveEngine(1)
+	e := s.EngineWith(iql.AutoExpansion, 1)
 	for _, q := range experiments.PaperQueries() {
 		t.Run(q.ID, func(t *testing.T) {
 			res, err := e.Query(q.IQL)

@@ -24,10 +24,10 @@ func rowKey(res *idm.Result) string {
 // TestReplicaDifferential is the grammar-driven differential suite: 1000
 // generated iQL queries (every production reachable — both axes,
 // wildcards, predicates, has(), unions, joins) are evaluated on the
-// leader and on three caught-up replicas, one per planner lane (serial
-// rule-based, forced-parallel rule-based, adaptive cost-based). Every
-// lane must return exactly the leader's rows: replication equivalence
-// must hold regardless of how the follower plans its queries.
+// leader and on two caught-up replicas, one serial (Parallelism 1) and
+// one parallel (Parallelism 8). Every lane must return exactly the
+// leader's rows: replication equivalence must hold regardless of how
+// the follower plans its queries.
 func TestReplicaDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-generation differential suite")
@@ -43,9 +43,8 @@ func replicaDifferential(t *testing.T, generations int) {
 		name string
 		cfg  idm.Config
 	}{
-		{"serial", idm.WithRulePlanner(idm.Config{Parallelism: 1, Now: fixedNow})},
-		{"parallel", idm.WithRulePlanner(idm.Config{Parallelism: 8, Now: fixedNow})},
-		{"adaptive", idm.Config{Parallelism: 8, Now: fixedNow}},
+		{"serial", idm.Config{Parallelism: 1, Now: fixedNow}},
+		{"parallel", idm.Config{Parallelism: 8, Now: fixedNow}},
 	}
 	type lane struct {
 		name string
