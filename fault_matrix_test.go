@@ -325,8 +325,12 @@ func TestStaleResultsBypassCache(t *testing.T) {
 
 // TestDifferentialUnderFaults runs grammar-generated queries against a
 // degraded live system, asserting serial and parallel evaluation still
-// agree while stale replicas are being served.
+// agree while stale replicas are being served. Fan-out is forced; the
+// dataspace is too small for any sharded stage, so the parallel engine
+// fans out the branches of unions and joins, and at least a tenth of
+// the queries must do so.
 func TestDifferentialUnderFaults(t *testing.T) {
+	t.Cleanup(iql.ForceFanOut())
 	sys, inj := faultFS(t, idm.Config{})
 	inj.Add(idm.FaultRule{Point: "fs/root", Kind: idm.FaultError})
 	if _, err := sys.Manager().SyncSource("fs"); err == nil {
@@ -341,7 +345,8 @@ func TestDifferentialUnderFaults(t *testing.T) {
 	}
 	g := iql.NewGen(3, vocab)
 	serial := iql.NewEngine(sys.Manager(), iql.Options{Now: fixedNow, Parallelism: 1})
-	parallel := iql.NewEngine(sys.Manager(), iql.Options{Now: fixedNow, Parallelism: 8})
+	parallel := iql.NewEngine(sys.Manager(), iql.Options{Now: fixedNow, Parallelism: 8, PlannerProcs: 8})
+	answered, fanned := 0, 0
 	for i := 0; i < 300; i++ {
 		q := g.Query()
 		rs, errS := serial.Query(q)
@@ -359,7 +364,15 @@ func TestDifferentialUnderFaults(t *testing.T) {
 		if len(rs.Plan.StaleSources) != 1 || rs.Plan.StaleSources[0] != "fs" {
 			t.Fatalf("gen %d %q: StaleSources = %v", i, q, rs.Plan.StaleSources)
 		}
+		answered++
+		if rp.Plan.ParallelStages > 0 {
+			fanned++
+		}
 	}
+	if fanned*10 < answered {
+		t.Fatalf("parallel engine fanned out on %d of %d queries, want at least a tenth", fanned, answered)
+	}
+	t.Logf("parallel fan-out on %d of %d queries", fanned, answered)
 }
 
 // TestRemoveSourceInvalidatesCache pins the unregister path: the removal

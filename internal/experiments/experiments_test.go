@@ -140,13 +140,17 @@ func TestRunQueriesTable4Figure6(t *testing.T) {
 
 // TestParallelMatchesSerialOnPaperQueries runs every Table 4 query
 // against the real synthetic dataspace with the serial engine and a
-// parallel one, under each expansion strategy, requiring byte-identical
-// rows.
+// parallel one (fan-out forced, CPU clamp lifted), under each expansion
+// strategy, requiring byte-identical rows. At least a third of the
+// parallel executions must fan out (11 of 24 do; single-step queries
+// answered wholly by an index have no stage to shard).
 func TestParallelMatchesSerialOnPaperQueries(t *testing.T) {
+	t.Cleanup(iql.ForceFanOut())
 	s := testSetup(t, false)
+	runs, fanned := 0, 0
 	for _, exp := range []iql.Expansion{iql.ForwardExpansion, iql.BackwardExpansion, iql.AutoExpansion} {
 		serial := s.EngineWith(exp, 1)
-		parallel := s.EngineWith(exp, 4)
+		parallel := iql.NewEngine(s.Mgr, iql.Options{Expansion: exp, Now: Clock, Parallelism: 4, PlannerProcs: 4})
 		for _, q := range PaperQueries() {
 			want, err := serial.Query(q.IQL)
 			if err != nil {
@@ -170,8 +174,16 @@ func TestParallelMatchesSerialOnPaperQueries(t *testing.T) {
 				t.Errorf("%v %s: intermediates %d serial vs %d parallel",
 					exp, q.ID, want.Plan.Intermediates, got.Plan.Intermediates)
 			}
+			runs++
+			if got.Plan.ParallelStages > 0 {
+				fanned++
+			}
 		}
 	}
+	if fanned*3 < runs {
+		t.Fatalf("parallel engine fanned out on %d of %d executions, want at least a third", fanned, runs)
+	}
+	t.Logf("parallel fan-out on %d of %d executions", fanned, runs)
 }
 
 // TestBenchIQLReport checks the BENCH_iql.json producer: all eight

@@ -15,11 +15,7 @@ import (
 // forceFanOut zeroes the planner's work crossover for the rest of the
 // test, so every stage with parThreshold items fans out to the
 // effective parallelism (Options.PlannerProcs lifts the CPU clamp).
-func forceFanOut(t testing.TB) {
-	old := parCrossover
-	parCrossover = 0
-	t.Cleanup(func() { parCrossover = old })
-}
+func forceFanOut(t testing.TB) { t.Cleanup(ForceFanOut()) }
 
 // requireSameResult fails unless two results carry byte-identical
 // Columns and Rows.

@@ -23,9 +23,21 @@ const PlannerAdaptive PlannerMode = 1
 // costs a few microseconds, one cost unit is a few nanoseconds, so below
 // ~16k units the goroutine and merge overhead exceeds the work saved
 // (the measured crossover sits between 10k and 50k units; see docs/IQL.md
-// "Cost-based planning"). A variable only so this package's tests can
-// zero it and force every eligible stage parallel.
+// "Cost-based planning"). A variable only so tests can zero it
+// (ForceFanOut) and force every eligible stage parallel.
 var parCrossover = 1 << 14
+
+// ForceFanOut zeroes the work crossover until the returned function
+// restores it, so every stage with parThreshold items and every union or
+// join fans out up to the worker ceiling. It is a hook for the test
+// suites of the packages built on this one, whose inputs are too small
+// to clear the crossover (the package is internal, so it is no API).
+// Call it before any query runs and restore after the last one returns.
+func ForceFanOut() (restore func()) {
+	old := parCrossover
+	parCrossover = 0
+	return func() { parCrossover = old }
+}
 
 // effectiveParallelism is the worker ceiling the planner will actually
 // fan out to: the configured parallelism clamped by the schedulable
@@ -77,7 +89,9 @@ func (c *evalCtx) workers(n, perItem int) int {
 // rows at scale 0.05) measured slower concurrent than serial, and only
 // its 10x-scale shape (~126k) gains. The estimates are memoized per
 // query, and a ceiling of 1 answers before reading any, so serial
-// engines pay nothing for the decision.
+// engines pay nothing for the decision. Above that ceiling every call is
+// one planner stage decision, counted like workers' so the
+// idm_planner_* parallel/serial ratio covers branches too.
 func (c *evalCtx) concurrentBranches(qs ...Query) bool {
 	if c.effPar <= 1 {
 		return false
@@ -87,6 +101,7 @@ func (c *evalCtx) concurrentBranches(qs ...Query) bool {
 		work += c.estimateQuery(q)
 	}
 	if work < parCrossover {
+		c.plan.addSerialStages(1)
 		return false
 	}
 	c.plan.addParallelStages(1)

@@ -350,19 +350,33 @@ func (ix *Index) AttrCard(attr string) int {
 // (op, value) using the same binary searches as Query but without
 // materializing ids: the width of the matching span (incomparable
 // values at the span edges may inflate the bound slightly). O(log n)
-// after the column is sorted. The lock is held through the searches:
-// writers compact and re-sort col.entries in place (see Query).
+// after the column is sorted. Locking follows Query: a sorted column is
+// searched under the read lock, held through the searches because
+// writers compact and re-sort col.entries in place; an unsorted one is
+// sorted and searched under the write lock.
 func (ix *Index) CardEstimate(attr string, op Op, value core.Value) int {
 	name := strings.ToLower(attr)
+	ix.mu.RLock()
+	col, ok := ix.columns[name]
+	if ok && col.sorted {
+		defer ix.mu.RUnlock()
+		return col.cardEstimate(op, value)
+	}
+	ix.mu.RUnlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	col, ok := ix.columns[name]
+	col, ok = ix.columns[name]
 	if !ok {
 		return 0
 	}
 	col.ensureSorted()
-	entries := col.entries
+	return col.cardEstimate(op, value)
+}
 
+// cardEstimate measures the matching span of a sorted column; the
+// caller holds ix.mu (read or write).
+func (col *column) cardEstimate(op Op, value core.Value) int {
+	entries := col.entries
 	lo := sort.Search(len(entries), func(i int) bool {
 		c, err := core.Compare(entries[i].value, value)
 		if err != nil {

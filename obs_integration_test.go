@@ -15,14 +15,15 @@ import (
 	"time"
 
 	idm "repro"
+	"repro/internal/iql"
 	"repro/internal/obs"
 )
 
 // parallelSystem builds a dataspace wide enough (256 sibling documents)
 // that the iQL engine's sharded stages pass their item threshold.
 // Whether a stage then fans out is the planner's call (CPU clamp and
-// work crossover), so per-worker spans are checked in internal/iql,
-// where tests can force fan-out.
+// work crossover); tests that need fan-out force it with
+// iql.ForceFanOut and idm.LiftCPUClamp.
 func parallelSystem(t *testing.T, parallelism int) *idm.System {
 	t.Helper()
 	fs := idm.NewFileSystem()
@@ -41,14 +42,15 @@ func parallelSystem(t *testing.T, parallelism int) *idm.System {
 	return sys
 }
 
-// TestSystemTraceSpanTree checks that Trace on a parallel system returns
-// the parse → plan → eval span tree and that Explain renders the same
-// evaluation. Per-worker spans of sharded stages are pinned by
-// internal/iql's TestQueryTracedWorkerSpans, where fan-out can be
-// forced.
+// TestSystemTraceSpanTree is the tentpole acceptance check: Trace on a
+// parallel system, with fan-out forced, returns the parse → plan → eval
+// span tree with per-worker spans for the sharded stages, and Explain
+// renders the same evaluation.
 func TestSystemTraceSpanTree(t *testing.T) {
+	t.Cleanup(iql.ForceFanOut())
 	sys := parallelSystem(t, 4)
-	res, tr, err := sys.Trace(`//doc*[ "blob" ]`)
+	idm.LiftCPUClamp(sys)
+	res, tr, err := sys.Trace(`//doc*[ "blob" or "wide" ]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +61,13 @@ func TestSystemTraceSpanTree(t *testing.T) {
 		t.Fatal("Trace returned nil trace")
 	}
 	out := tr.Render()
-	for _, want := range []string{"parse", "plan", "eval"} {
+	for _, want := range []string{"parse", "plan", "eval", "worker "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q:\n%s", want, out)
 		}
 	}
 	// Explain renders the same evaluation.
-	explained, err := sys.Explain(`//doc*[ "blob" ]`)
+	explained, err := sys.Explain(`//doc*[ "blob" or "wide" ]`)
 	if err != nil {
 		t.Fatal(err)
 	}

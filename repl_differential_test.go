@@ -25,9 +25,11 @@ func rowKey(res *idm.Result) string {
 // generated iQL queries (every production reachable — both axes,
 // wildcards, predicates, has(), unions, joins) are evaluated on the
 // leader and on two caught-up replicas, one serial (Parallelism 1) and
-// one parallel (Parallelism 8). Every lane must return exactly the
-// leader's rows: replication equivalence must hold regardless of how
-// the follower plans its queries.
+// one parallel (Parallelism 8, fan-out forced and the CPU clamp lifted).
+// Every lane must return exactly the leader's rows: replication
+// equivalence must hold regardless of how the follower plans its
+// queries. At least a fifth of the parallel lane's queries must fan
+// out (about 30% do), so a lane that quietly runs serial fails.
 func TestReplicaDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-generation differential suite")
@@ -36,6 +38,7 @@ func TestReplicaDifferential(t *testing.T) {
 }
 
 func replicaDifferential(t *testing.T, generations int) {
+	t.Cleanup(iql.ForceFanOut())
 	leaderSys, _ := durableLeader(t)
 	leader := leaderSys.ReplicationLeader()
 
@@ -63,11 +66,12 @@ func replicaDifferential(t *testing.T, generations int) {
 		if rep.StateDigest() != leaderSys.StateDigest() {
 			t.Fatalf("lane %s replica not caught up", l.name)
 		}
+		idm.LiftCPUClamp(rep.System())
 		reps = append(reps, lane{l.name, rep})
 	}
 
 	g := iql.NewGen(42, iql.DefaultVocab())
-	errQueries := 0
+	errQueries, fanned := 0, 0
 	for i := 0; i < generations; i++ {
 		q := g.Query()
 		want, wantErr := leaderSys.Query(q)
@@ -89,10 +93,17 @@ func replicaDifferential(t *testing.T, generations int) {
 				t.Fatalf("gen %d %q: %s replica rows diverge\nleader:\n%s\nreplica:\n%s",
 					i, q, l.name, wk, gk)
 			}
+			if l.name == "parallel" && got.Stats.ParallelStages > 0 {
+				fanned++
+			}
 		}
 	}
 	if errQueries == generations {
 		t.Fatal("every generated query errored; the generator is broken")
 	}
-	t.Logf("%d generations × %d lanes, %d error-parity queries", generations, len(reps), errQueries)
+	if ok := generations - errQueries; fanned*5 < ok {
+		t.Fatalf("parallel replica fanned out on %d of %d queries, want at least a fifth", fanned, ok)
+	}
+	t.Logf("%d generations × %d lanes, %d error-parity queries, parallel fan-out on %d",
+		generations, len(reps), errQueries, fanned)
 }
